@@ -1,9 +1,10 @@
 // Fault recovery overhead: SGD MF training with one worker crash mid-run,
-// sweeping the checkpoint interval K in two durability modes:
+// sweeping the checkpoint interval K in two delta-log configurations:
 //
-//   full   EnableRecovery — every checkpoint rewrites the whole store
-//          (write-temp, fsync, rename), recovery degrades to N-1 workers.
-//   delta  EnableDurability — checkpoints append only the pages dirtied
+//   full   compact_every = 1 — the log is folded into a fresh whole-store
+//          base image (write-temp, fsync, rename) after every delta record,
+//          and recovery degrades to N-1 workers.
+//   delta  compact_every = 8 — checkpoints append only the pages dirtied
 //          since the previous record to a CRC-framed delta log, and the
 //          crashed rank REJOINS after restore, so the cluster finishes the
 //          run at its full width.
@@ -12,8 +13,8 @@
 // recovery work falls as K shrinks while checkpoint count (and fault-free
 // overhead) rises — the classic checkpoint-interval trade-off (paper
 // Sec. 4.3 fault tolerance). A second experiment measures checkpoint bytes
-// on a sparse-update workload, where delta records stay far below the full
-// image a whole-store checkpoint must rewrite every time.
+// on a sparse-update workload, where delta records stay far below the
+// whole-store base image a full checkpoint must rewrite every time.
 //
 // Emits BENCH_durability.json with the sweep and the bytes comparison.
 #include <chrono>
@@ -55,16 +56,6 @@ std::string CkptDir(const std::string& tag) {
   return dir;
 }
 
-u64 DirBytes(const std::string& dir) {
-  u64 total = 0;
-  for (const auto& e : std::filesystem::directory_iterator(dir)) {
-    if (e.is_regular_file()) {
-      total += static_cast<u64>(e.file_size());
-    }
-  }
-  return total;
-}
-
 struct RunResult {
   double wall_seconds = 0.0;
   f64 final_loss = 0.0;
@@ -90,15 +81,11 @@ RunResult Run(const std::vector<RatingEntry>& data, const RatingsConfig& dcfg,
   ORION_CHECK_OK(app.Init(data, dcfg.rows, dcfg.cols));
   const std::string tag = std::string(delta_log ? "delta_" : "full_") +
                           (crash ? "crash_k" : "clean_k") + std::to_string(every_n_passes);
-  if (delta_log) {
-    Driver::DurabilityOptions opt;
-    opt.every_n_passes = every_n_passes;
-    opt.compact_every = 8;
-    opt.rejoin_crashed_workers = crash;
-    ORION_CHECK_OK(driver.EnableDurability({app.w(), app.h()}, CkptDir(tag), opt));
-  } else {
-    driver.EnableRecovery({app.w(), app.h()}, CkptDir(tag), every_n_passes);
-  }
+  Driver::DurabilityOptions opt;
+  opt.every_n_passes = every_n_passes;
+  opt.compact_every = delta_log ? 8 : 1;
+  opt.rejoin_crashed_workers = crash && delta_log;
+  ORION_CHECK_OK(driver.EnableDurability({app.w(), app.h()}, CkptDir(tag), opt));
 
   const auto t0 = std::chrono::steady_clock::now();
   for (int p = 0; p < kPasses; ++p) {
@@ -139,8 +126,8 @@ std::vector<SweepRow> CrashSweep(const std::vector<RatingEntry>& data,
 //
 // A 32768-cell server table where every pass's writes land in page 0 only
 // (write keys are taken mod 64; pages hold 256 cells). A whole-store
-// checkpoint rewrites all 32768 cells each time; a delta record ships one
-// dirty page.
+// checkpoint rewrites all 32768 cells each time — one base image, measured
+// on disk from a compact_every = 1 log; a delta record ships one dirty page.
 
 constexpr i64 kTableKeys = 32768;
 constexpr i64 kTableSamples = 512;
@@ -148,7 +135,7 @@ constexpr int kSparsePasses = 12;
 
 struct SparseRun {
   RuntimeMetrics metrics;
-  u64 full_image_bytes = 0;  // on-disk size of one whole-store checkpoint
+  u64 full_image_bytes = 0;  // on-disk size of one whole-store base image
 };
 
 SparseRun RunSparse(bool delta_log) {
@@ -191,14 +178,12 @@ SparseRun RunSparse(bool delta_log) {
   ORION_CHECK(loop.ok());
 
   const std::string dir = CkptDir(delta_log ? "sparse_delta" : "sparse_full");
-  if (delta_log) {
-    Driver::DurabilityOptions opt;
-    opt.every_n_passes = 1;
-    opt.compact_every = 0;  // keep every record a delta so bytes reflect dirty pages
-    ORION_CHECK_OK(driver.EnableDurability({table_w}, dir, opt));
-  } else {
-    driver.EnableRecovery({table_w}, dir, /*every_n_passes=*/1);
-  }
+  Driver::DurabilityOptions opt;
+  opt.every_n_passes = 1;
+  // Delta: keep every record a delta so bytes reflect dirty pages. Full:
+  // rewrite the base image as often as the log allows.
+  opt.compact_every = delta_log ? 0 : 1;
+  ORION_CHECK_OK(driver.EnableDurability({table_w}, dir, opt));
   for (int p = 0; p < kSparsePasses; ++p) {
     ORION_CHECK_OK(driver.Execute(*loop));
   }
@@ -206,7 +191,8 @@ SparseRun RunSparse(bool delta_log) {
   SparseRun out;
   out.metrics = driver.runtime_metrics();
   if (!delta_log) {
-    out.full_image_bytes = DirBytes(dir);
+    out.full_image_bytes =
+        static_cast<u64>(std::filesystem::file_size(std::filesystem::path(dir) / "base.orib"));
   }
   return out;
 }
@@ -214,7 +200,8 @@ SparseRun RunSparse(bool delta_log) {
 int Main() {
   PrintHeader("Fault recovery & log-structured durability",
               "SGD MF, 4 workers, crash of worker 1 at pass 5; sweep checkpoint "
-              "interval K in whole-store (full) and delta-log (delta) modes. "
+              "interval K with a whole-store base per record pair (full, "
+              "compact_every=1) and a delta log (delta, compact_every=8). "
               "Replay after the crash is bounded by K; delta mode rejoins the "
               "crashed rank.");
   const auto dcfg = BenchData();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <set>
 
 #include "src/common/buffer_pool.h"
@@ -37,8 +36,7 @@ Driver::Driver(const DriverConfig& config)
   dir_.SetSupervisor(config_.supervisor);
   if (config_.async_param_serving) {
     param_server_ = std::make_unique<ParamServer>(
-        fabric_.get(), std::max(1, config_.param_server_shards), config_.num_workers,
-        config_.param_key_range_stripes);
+        fabric_.get(), std::max(1, config_.param_server_shards), config_.num_workers);
   }
   live_ranks_.resize(static_cast<size_t>(config.num_workers));
   for (int w = 0; w < config.num_workers; ++w) {
@@ -816,19 +814,14 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
   last_metrics_.worker_reply_wait.assign(static_cast<size_t>(active), WaitHistogram{});
   std::vector<DistArrayId> returned;
 
-  // Sharded async serving. 2D passes were always sound: rotation loops defer
-  // kServer buffered applies to pass end (server state is pass-constant), and
-  // wavefront mid-step overwrites are disjoint from concurrent readers' key
-  // lists. 1D chunked loops rely on prompt mid-pass freshness (a round's
-  // request, queued behind its flushes on the FIFO master link, must read the
-  // just-applied state); the versioned store preserves exactly that — the
-  // snapshot is pinned here, at dequeue time on this single-threaded service
-  // loop, so it already reflects every update dequeued before the request —
-  // which makes the async path bit-for-bit identical to inline serving and
-  // lets 1D loops join it.
-  const bool versioned = config_.versioned_store && param_server_ != nullptr;
-  const bool async_serving =
-      param_server_ != nullptr && (cl.Is2D() || versioned);
+  // Sharded async serving from pinned snapshots. 1D chunked loops rely on
+  // prompt mid-pass freshness (a round's request, queued behind its flushes
+  // on the FIFO master link, must read the just-applied state); the snapshot
+  // is pinned here, at dequeue time on this single-threaded service loop, so
+  // it already reflects every update dequeued before the request — which
+  // makes the async path bit-for-bit identical to inline serving for every
+  // loop form.
+  const bool async_serving = param_server_ != nullptr;
   if (async_serving) {
     param_server_->ResetPassStats();
   }
@@ -1001,19 +994,14 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
         ParamRequest req = TakeParamRequest(*msg);
         if (async_serving) {
           ArrayHost& h = Host(req.array);
-          if (versioned) {
-            // Paginate lazily on the first request ever served for this
-            // array; pages then persist across passes (mutations between
-            // requests go through the copy-on-write writer path).
-            if (!h.master.paged()) {
-              h.master.BeginServing();
-            }
-            param_server_->HandleRequestSnapshot(std::move(req), msg->from,
-                                                 h.master.Pin(), h.meta.value_dim);
-          } else {
-            param_server_->HandleRequest(std::move(req), msg->from, &h.master.Flat(),
-                                         h.meta.value_dim);
+          // Paginate lazily on the first request ever served for this array;
+          // pages then persist across passes (mutations between requests go
+          // through the copy-on-write writer path).
+          if (!h.master.paged()) {
+            h.master.BeginServing();
           }
+          param_server_->HandleRequestSnapshot(std::move(req), msg->from, h.master.Pin(),
+                                               h.meta.value_dim);
         } else {
           ServeParamRequestInline(req, msg->from);
         }
@@ -1037,27 +1025,9 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
             pit->second.scheme == PartitionScheme::kServer;
         if (server_buffered) {
           deferred_server.emplace_back(msg->from, std::move(pd));
-        } else if (async_serving && !versioned) {
-          // Mid-pass writer (wavefront kOverwrite flush): dependence analysis
-          // makes its cells disjoint from every concurrent reader's key list,
-          // but concurrent gathers still need exclusion against torn reads
-          // and rehash. Key-range ownership narrows that to the stripes the
-          // update actually touches (dense masters only; hashed masters fall
-          // back to locking every stripe because an insert can rehash).
-          // Speculative fetches would break the disjointness premise (they
-          // read exactly the keys upcoming flushes overwrite), which is why
-          // eligibility in RunPassOnce excludes this non-versioned async
-          // mode: pool-thread gathers read live state, not a pinned version.
-          ArrayHost& h = Host(pd.array);
-          const CellStore& m = h.master.Flat();
-          const i64 lo = m.IsDense() ? m.range_lo() : 0;
-          const i64 hi = m.IsDense() ? m.range_hi() : -1;
-          auto locks = param_server_->LockForUpdate(pd.cells, lo, hi);
-          ApplyParamUpdate(&cl, std::move(pd), msg->tag);
         } else {
-          // Versioned store: the writer clones only the pages it touches, so
-          // in-flight snapshot gathers keep reading their pinned version and
-          // no stripe lock is needed at all.
+          // The writer clones only the pages it touches, so in-flight
+          // snapshot gathers keep reading their pinned version.
           ApplyParamUpdate(&cl, std::move(pd), msg->tag);
         }
         break;
@@ -1226,21 +1196,13 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
     last_metrics_.param_serve_seconds += param_server_->serve_seconds();
     last_metrics_.param_shard_queue_depth_max = param_server_->max_queue_depth();
     last_metrics_.spec_requests_served += param_server_->speculative_served();
-    const std::vector<ParamStripeStats> stripes = param_server_->StripeStatsSnapshot();
+    last_metrics_.stripes = param_server_->StripeStatsSnapshot();
+    const std::vector<StripeMetrics>& stripes = last_metrics_.stripes;
     if (stripe_totals_.size() < stripes.size()) {
       stripe_totals_.resize(stripes.size());
     }
-    last_metrics_.stripes.resize(stripes.size());
     for (size_t i = 0; i < stripes.size(); ++i) {
-      auto& d = last_metrics_.stripes[i];
-      d.busy_ns = stripes[i].busy_ns;
-      d.gather_ns = stripes[i].gather_ns;
-      d.wait_ns = stripes[i].wait_ns;
-      d.tasks = stripes[i].tasks;
-      d.queue_depth_max = stripes[i].queue_depth_max;
-      stripe_totals_[i].busy_ns += stripes[i].busy_ns;
       stripe_totals_[i].gather_ns += stripes[i].gather_ns;
-      stripe_totals_[i].wait_ns += stripes[i].wait_ns;
       stripe_totals_[i].tasks += stripes[i].tasks;
       stripe_totals_[i].queue_depth_max =
           std::max(stripe_totals_[i].queue_depth_max, stripes[i].queue_depth_max);
@@ -1279,7 +1241,7 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
 
   // Copy-on-write accounting for this pass (pins taken, pages cloned by
   // mid-pass writers, bytes copied for those clones).
-  if (versioned) {
+  if (async_serving) {
     for (const auto& [id, placement] : cl.plan.placements) {
       if (placement.scheme != PartitionScheme::kServer) {
         continue;
@@ -1306,42 +1268,16 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
   return {true, -1};
 }
 
-void Driver::AutoCheckpoint(std::vector<DistArrayId> arrays, std::string directory,
-                            int every_n_passes) {
-  auto_ckpt_arrays_ = std::move(arrays);
-  auto_ckpt_dir_ = std::move(directory);
-  auto_ckpt_every_ = every_n_passes;
-}
-
-void Driver::EnableRecovery(std::vector<DistArrayId> arrays, std::string directory,
-                            int every_n_passes) {
-  recover_arrays_ = std::move(arrays);
-  recover_dir_ = std::move(directory);
-  recover_every_ = every_n_passes;
-  recovery_enabled_ = true;
-  baseline_ckpt_done_ = false;
-  // Best-effort: an uncreatable directory surfaces as a descriptive IO_ERROR
-  // Status at the first checkpoint write, not here.
-  std::error_code ec;
-  std::filesystem::create_directories(recover_dir_, ec);
-}
-
-std::string Driver::RecoveryPath(DistArrayId id) const {
-  return recover_dir_ + "/" + Host(id).meta.name + ".ckpt";
-}
-
 Status Driver::EnableDurability(std::vector<DistArrayId> arrays, std::string directory,
                                 DurabilityOptions options) {
-  recover_arrays_ = std::move(arrays);
-  recover_dir_ = std::move(directory);
-  recover_every_ = options.every_n_passes;
-  durability_options_ = options;
-  auto writer = DeltaLogWriter::Open(recover_dir_, DeltaLogOptions{options.compact_every});
+  auto writer =
+      DeltaLogWriter::Open(std::move(directory), DeltaLogOptions{options.compact_every});
   if (!writer.ok()) {
     return writer.status();
   }
+  recover_arrays_ = std::move(arrays);
+  durability_options_ = options;
   delta_writer_ = std::move(writer).value();
-  recovery_enabled_ = true;
   baseline_ckpt_done_ = false;
   return Status::Ok();
 }
@@ -1382,25 +1318,18 @@ std::vector<ArrayCheckpointRef> Driver::DurableArrayRefs() {
 Status Driver::WriteRecoveryCheckpoint() {
   ORION_TRACE_SPAN(kDriver, "checkpoint");
   Stopwatch sw;
-  if (delta_writer_ != nullptr) {
-    auto stats = delta_writer_->AppendCheckpoint(BuildMasterRecord(), DurableArrayRefs());
-    if (!stats.ok()) {
-      return stats.status();
-    }
-    runtime_metrics_.log_bytes_appended += stats->bytes_appended;
-    runtime_metrics_.pages_deltad += stats->pages_deltad;
-    if (stats->compacted) {
-      ++runtime_metrics_.compactions;
-    }
-    if (!stats->wrote_base) {
-      ++runtime_metrics_.delta_checkpoints;
-    }
-  } else {
-    for (DistArrayId id : recover_arrays_) {
-      ORION_RETURN_IF_ERROR(CheckpointWrite(RecoveryPath(id), MutableCells(id)));
-    }
+  auto stats = delta_writer_->AppendCheckpoint(BuildMasterRecord(), DurableArrayRefs());
+  if (!stats.ok()) {
+    return stats.status();
   }
-  ckpt_accumulators_ = accumulators_;
+  runtime_metrics_.log_bytes_appended += stats->bytes_appended;
+  runtime_metrics_.pages_deltad += stats->pages_deltad;
+  if (stats->compacted) {
+    ++runtime_metrics_.compactions;
+  }
+  if (!stats->wrote_base) {
+    ++runtime_metrics_.delta_checkpoints;
+  }
   pass_log_.clear();
   baseline_ckpt_done_ = true;
   ++runtime_metrics_.checkpoints_written;
@@ -1431,7 +1360,6 @@ Status Driver::InstallLogState(DeltaLogReader::State state, bool restore_pass_co
         " accumulators, driver has " + std::to_string(accumulators_.size()));
   }
   accumulators_ = state.master.accumulators;
-  ckpt_accumulators_ = accumulators_;
   if (restore_pass_counter) {
     pass_counter_ = static_cast<int>(state.master.next_pass);
   }
@@ -1618,31 +1546,24 @@ Status Driver::Recover(int lost_physical_rank) {
   auto log = std::move(pass_log_);
   pass_log_.clear();
 
-  if (delta_writer_ != nullptr) {
-    // Restore from the delta log: base image plus the delta tail.
-    Stopwatch restore_sw;
-    auto reader = DeltaLogReader::Open(delta_writer_->dir());
-    if (!reader.ok()) {
-      return reader.status();
-    }
-    auto state = reader->Latest();
-    if (!state.ok()) {
-      return state.status();
-    }
-    ORION_RETURN_IF_ERROR(InstallLogState(std::move(state).value(),
-                                          /*restore_pass_counter=*/false));
-    runtime_metrics_.restore_seconds += restore_sw.ElapsedSeconds();
-    if (durability_options_.rejoin_crashed_workers) {
-      ORION_RETURN_IF_ERROR(RejoinWorker(lost_physical_rank, lost_acked));
-      // The rejoined rank receives its state with the next scatter; give it
-      // grace until it first speaks.
-      state_transfer_pending_.insert(lost_physical_rank);
-    }
-  } else {
-    for (DistArrayId id : recover_arrays_) {
-      ORION_RETURN_IF_ERROR(Restore(id, RecoveryPath(id)));
-    }
-    accumulators_ = ckpt_accumulators_;
+  // Restore from the delta log: base image plus the delta tail.
+  Stopwatch restore_sw;
+  auto reader = DeltaLogReader::Open(delta_writer_->dir());
+  if (!reader.ok()) {
+    return reader.status();
+  }
+  auto state = reader->Latest();
+  if (!state.ok()) {
+    return state.status();
+  }
+  ORION_RETURN_IF_ERROR(InstallLogState(std::move(state).value(),
+                                        /*restore_pass_counter=*/false));
+  runtime_metrics_.restore_seconds += restore_sw.ElapsedSeconds();
+  if (durability_options_.rejoin_crashed_workers) {
+    ORION_RETURN_IF_ERROR(RejoinWorker(lost_physical_rank, lost_acked));
+    // The rejoined rank receives its state with the next scatter; give it
+    // grace until it first speaks.
+    state_transfer_pending_.insert(lost_physical_rank);
   }
 
   ORION_RETURN_IF_ERROR(RecompileLoops());
@@ -1750,17 +1671,14 @@ std::string Driver::CriticalPathReport() {
   std::string out =
       trace::FormatCriticalPathTable(trace::AnalyzeCriticalPath(CollectTrace()));
   if (!stripe_totals_.empty()) {
-    // Stripe-contention heatmap, cumulative over all async passes: where
-    // gathers spend lock-held time (busy), copy time (gather) and lock
-    // acquisition (wait). Snapshot serving shows up as busy == 0.
+    // Stripe heatmap, cumulative over all async passes: copy time and task
+    // count per gather stripe.
     out += "param stripes (cumulative):";
     for (size_t i = 0; i < stripe_totals_.size(); ++i) {
       const auto& s = stripe_totals_[i];
-      char buf[128];
-      std::snprintf(buf, sizeof buf, " [%zu] busy=%.3fms gather=%.3fms wait=%.3fms tasks=%llu",
-                    i, static_cast<double>(s.busy_ns) / 1e6,
+      char buf[96];
+      std::snprintf(buf, sizeof buf, " [%zu] gather=%.3fms tasks=%llu", i,
                     static_cast<double>(s.gather_ns) / 1e6,
-                    static_cast<double>(s.wait_ns) / 1e6,
                     static_cast<unsigned long long>(s.tasks));
       out += buf;
     }
@@ -1888,10 +1806,9 @@ void Driver::PublishObsSnapshot() {
 
 StatusOr<serve::ServingTier*> Driver::StartServingTier(std::vector<DistArrayId> arrays,
                                                        serve::ServingTierOptions options) {
-  if (!config_.async_param_serving || !config_.versioned_store) {
+  if (!config_.async_param_serving) {
     return Status::FailedPrecondition(
-        "serving tier requires async_param_serving and versioned_store "
-        "(snapshot pins)");
+        "serving tier requires async_param_serving (snapshot pins)");
   }
   if (serving_tier_ != nullptr) {
     return Status::FailedPrecondition("serving tier already started");
@@ -2024,9 +1941,7 @@ MetricsRegistry Driver::ExportMetrics() const {
   for (size_t i = 0; i < lm.stripes.size(); ++i) {
     const auto& s = lm.stripes[i];
     const std::string p = "param.stripe." + std::to_string(i);
-    reg.SetCounter(p + ".busy_ns", s.busy_ns);
     reg.SetCounter(p + ".gather_ns", s.gather_ns);
-    reg.SetCounter(p + ".wait_ns", s.wait_ns);
     reg.SetCounter(p + ".tasks", s.tasks);
     reg.SetCounter(p + ".queue_depth_max", static_cast<u64>(s.queue_depth_max));
   }
@@ -2243,13 +2158,14 @@ Status Driver::Execute(i32 loop_id) {
   if (loops_.find(loop_id) == loops_.end()) {
     return Status::NotFound("unknown loop id");
   }
-  if (recovery_enabled_ && !baseline_ckpt_done_) {
+  const bool recovery_enabled = delta_writer_ != nullptr;
+  if (recovery_enabled && !baseline_ckpt_done_) {
     // Baseline checkpoint: without it a pass-0 failure has nothing to
     // restore from.
     ORION_RETURN_IF_ERROR(WriteRecoveryCheckpoint());
   }
   const int max_attempts =
-      recovery_enabled_ ? std::max(1, config_.supervisor.max_recovery_attempts) : 1;
+      recovery_enabled ? std::max(1, config_.supervisor.max_recovery_attempts) : 1;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     const PassOutcome out = RunPassOnce(loop_id);
     if (out.completed) {
@@ -2259,20 +2175,13 @@ Status Driver::Execute(i32 loop_id) {
       // renders.
       PublishServingVersions();
       PublishObsSnapshot();
-      if (recovery_enabled_ && recover_every_ > 0 &&
-          static_cast<int>(pass_log_.size()) >= recover_every_) {
+      const int every = durability_options_.every_n_passes;
+      if (recovery_enabled && every > 0 && static_cast<int>(pass_log_.size()) >= every) {
         ORION_RETURN_IF_ERROR(WriteRecoveryCheckpoint());
-      }
-      if (auto_ckpt_every_ > 0 && pass_counter_ % auto_ckpt_every_ == 0) {
-        for (DistArrayId id : auto_ckpt_arrays_) {
-          const std::string path = auto_ckpt_dir_ + "/" + Host(id).meta.name + "." +
-                                   std::to_string(pass_counter_) + ".ckpt";
-          ORION_RETURN_IF_ERROR(Checkpoint(id, path));
-        }
       }
       return Status::Ok();
     }
-    if (!recovery_enabled_) {
+    if (!recovery_enabled) {
       return Status::Internal("worker " + std::to_string(out.lost_rank) +
                               " lost and recovery is not enabled");
     }
@@ -2310,21 +2219,9 @@ Driver::PassOutcome Driver::RunPassOnce(i32 loop_id) {
   // fetch from); whether the loop *stays* speculative is the controller's
   // call below — a loop whose measured conflict rate made repair cost exceed
   // the hidden wait is sticky-disabled and reverts to synchronous fetches.
-  //
-  // Speculation additionally requires a serving mode whose served state is
-  // fixed at request-dequeue order: inline serving (the single-threaded
-  // service loop serves at dequeue time) or versioned serving (the snapshot
-  // is pinned at dequeue time). Non-versioned async serving hands gathers to
-  // pool threads that read *live* master state at an arbitrary later moment;
-  // a speculative gather still queued when step t's barrier release goes out
-  // can observe step t+1's kOverwrite flushes — outside the repair window
-  // [issued_during, step), so validation would never catch it — and
-  // speculative fetches target exactly the keys those flushes overwrite,
-  // voiding the reader/writer key-disjointness the stripe-lock path assumes.
   pass_spec_depth_ = 0;
-  bool spec_eligible = cl.options.speculate && cl.options.overlap &&
-                       cl.NeedsStepBarrier() &&
-                       (param_server_ == nullptr || config_.versioned_store);
+  bool spec_eligible =
+      cl.options.speculate && cl.options.overlap && cl.NeedsStepBarrier();
   if (spec_eligible) {
     spec_eligible = false;
     for (const auto& [id, placement] : cl.plan.placements) {
@@ -2431,7 +2328,7 @@ Driver::PassOutcome Driver::RunPassOnce(i32 loop_id) {
   }
 
   // Per-pass metric series (flattened into MetricsRegistry by
-  // ExportMetrics): the trend the controller and the stripe heatmap read.
+  // ExportMetrics): the trend the controllers read.
   metrics_series_["pass.wall_seconds"].push_back(last_metrics_.pass_wall_seconds);
   metrics_series_["pass.param_serve_seconds"].push_back(
       last_metrics_.param_serve_seconds);
@@ -2446,13 +2343,8 @@ Driver::PassOutcome Driver::RunPassOnce(i32 loop_id) {
       static_cast<double>(last_metrics_.versioned_pages_cloned));
   metrics_series_["versioned.snapshot_pins"].push_back(
       static_cast<double>(last_metrics_.versioned_snapshot_pins));
-  double stripe_busy_ns = 0.0;
-  for (const auto& s : last_metrics_.stripes) {
-    stripe_busy_ns += static_cast<double>(s.busy_ns);
-  }
-  metrics_series_["param.stripe.busy_ns"].push_back(stripe_busy_ns);
 
-  if (recovery_enabled_) {
+  if (delta_writer_ != nullptr) {
     pass_log_.emplace_back(loop_id, pass);
   }
   return out;

@@ -64,25 +64,18 @@ struct DriverConfig {
   // Heartbeat / retry / death-timeout parameters. Supervision can also be
   // enabled without a fault plan to harden against real failures.
   SupervisorConfig supervisor{};
-  // Sharded asynchronous parameter serving: kParamRequests are gathered by
-  // a stripe-sharded thread pool and replies ship through per-worker comm
-  // lanes instead of blocking the master service loop. Bit-for-bit
-  // identical to inline serving.
+  // Sharded asynchronous parameter serving from versioned copy-on-write
+  // snapshots: the service loop pins a snapshot of the master at
+  // request-dequeue time (a refcount bump), a stripe-sharded thread pool
+  // gathers from it with no lock held, and replies ship through per-worker
+  // comm lanes instead of blocking the master service loop. Writers clone
+  // only the pages they touch. A worker's own round-r flushes are dequeued
+  // (and applied) before its round-r+1 request on the same FIFO link, so the
+  // pinned snapshot preserves read-own-writes freshness exactly like the
+  // inline path: bit-for-bit identical to inline serving (false), which
+  // stays as the test oracle and bench baseline.
   bool async_param_serving = true;
   int param_server_shards = 4;
-  // Versioned copy-on-write page store under async serving: the service
-  // loop pins a snapshot at request-dequeue time (a refcount bump) and
-  // gather tasks copy from it with no lock held; writers clone only the
-  // pages they touch. This also lets 1D chunked loops join async serving —
-  // a worker's own round-r flushes are dequeued (and applied) before its
-  // round-r+1 request on the same FIFO link, so the pinned snapshot
-  // preserves read-own-writes freshness exactly like the inline path.
-  bool versioned_store = true;
-  // Key-range stripe ownership for dense masters: each stripe owns an equal
-  // contiguous key slice, so a mid-pass writer locks only the owning
-  // stripe(s) on the locked path. Hashed masters keep hash-mixed stripes
-  // and full writer locking.
-  bool param_key_range_stripes = true;
 };
 
 class Driver {
@@ -175,27 +168,11 @@ class Driver {
   // buffered updates are applied immediately with the registered UDF.
   Status ExecuteSerial(const LoopSpec& spec, const LoopKernel& kernel);
 
-  // Checkpoints `arrays` into `directory` (files named <name>.<pass>.ckpt)
-  // after every `every_n_passes` Execute() calls — the paper's fault-
-  // tolerance recipe (Sec. 4.3). Pass every_n_passes = 0 to disable.
-  void AutoCheckpoint(std::vector<DistArrayId> arrays, std::string directory,
-                      int every_n_passes);
-
-  // Integrated checkpoint/recovery (paper Sec. 4.3): checkpoints `arrays`
-  // (every mutable array must be listed — arrays not listed are assumed
-  // immutable during training) into `directory` every `every_n_passes`
-  // passes, plus a baseline checkpoint before the first pass. When a worker
-  // is lost mid-pass, Execute() transparently retires the dead rank, degrades
-  // to the surviving workers, restores the last checkpoint, replays the
-  // passes since, and retries the failed pass.
-  void EnableRecovery(std::vector<DistArrayId> arrays, std::string directory,
-                      int every_n_passes);
-
-  // ---- Log-structured durability (delta log; supersedes EnableRecovery's
-  // whole-store checkpoint cycle) ----
+  // ---- Checkpoint/recovery (paper Sec. 4.3) over a log-structured delta
+  // log ----
 
   struct DurabilityOptions {
-    int every_n_passes = 1;   // checkpoint cadence, like EnableRecovery
+    int every_n_passes = 1;   // checkpoint cadence
     int compact_every = 8;    // fold the WAL into a fresh base after this
                               // many delta records (<= 0: never)
     // After a worker is declared dead and the survivors retire to N-1, bring
@@ -205,11 +182,16 @@ class Driver {
     bool rejoin_crashed_workers = false;
   };
 
-  // Like EnableRecovery, but checkpoints go to an append-only delta log in
-  // `directory`: each checkpoint appends only the pages dirtied since the
-  // previous one (CRC-framed, fsynced), periodically compacted into a full
-  // base image. The same log then powers Recover(), RestoreToPass() and
-  // ResumeFromLog().
+  // Integrated checkpoint/recovery: checkpoints `arrays` (every mutable
+  // array must be listed — arrays not listed are assumed immutable during
+  // training) plus the accumulators every `every_n_passes` passes, and once
+  // before the first pass, into an append-only delta log in `directory`.
+  // Each checkpoint appends only the pages dirtied since the previous one
+  // (CRC-framed, fsynced), periodically compacted into a full base image.
+  // When a worker is lost mid-pass, Execute() transparently retires the dead
+  // rank, degrades to the surviving workers, restores the latest checkpoint
+  // from the log, replays the passes since, and retries the failed pass. The
+  // same log powers RestoreToPass() and ResumeFromLog().
   Status EnableDurability(std::vector<DistArrayId> arrays, std::string directory,
                           DurabilityOptions options);
   Status EnableDurability(std::vector<DistArrayId> arrays, std::string directory) {
@@ -299,8 +281,8 @@ class Driver {
   // at start, and only when the master is authoritative at that boundary —
   // otherwise the previous version keeps serving. Serving never blocks the
   // training driver and never perturbs training results (bit-for-bit
-  // identical with the tier on or off). Requires async_param_serving and
-  // versioned_store. The returned pointer stays valid until the Driver dies.
+  // identical with the tier on or off). Requires async_param_serving. The
+  // returned pointer stays valid until the Driver dies.
   StatusOr<serve::ServingTier*> StartServingTier(std::vector<DistArrayId> arrays,
                                                  serve::ServingTierOptions options = {});
   // Drains + stops the tier and releases its pins. The tier object survives
@@ -327,7 +309,7 @@ class Driver {
     DistArrayMeta meta;
     // The authoritative driver-resident cells. Flat (a plain CellStore)
     // between passes; paginated into the copy-on-write page store while a
-    // pass serves parameters from it (versioned_store).
+    // pass serves parameters from it (async_param_serving).
     VersionedCellStore master;
     bool on_workers = false;
     // Valid when on_workers: how and under which grid it was scattered.
@@ -352,12 +334,11 @@ class Driver {
   };
   PassOutcome ServicePassMessages(const CompiledLoop& cl, i32 pass);
   PassOutcome RunPassOnce(i32 loop_id);  // one supervised pass attempt
-  // Synchronous serving path (1D loops, or async_param_serving off).
+  // Synchronous serving path (async_param_serving off).
   void ServeParamRequestInline(const ParamRequest& req, WorkerId from);
 
   // Recovery machinery.
   Status WriteRecoveryCheckpoint();
-  std::string RecoveryPath(DistArrayId id) const;
   Status Recover(int lost_physical_rank);
   Status RecompileLoops();
   MasterRecord BuildMasterRecord() const;
@@ -407,25 +388,15 @@ class Driver {
   std::vector<f64> accumulators_;
   std::vector<AccumOp> accumulator_ops_;
 
-  std::vector<DistArrayId> auto_ckpt_arrays_;
-  std::string auto_ckpt_dir_;
-  int auto_ckpt_every_ = 0;
-
   // Cluster membership: live_ranks_[logical] == physical rank.
   std::vector<int> live_ranks_;
 
-  // Integrated recovery state (EnableRecovery).
+  // Integrated recovery state (EnableDurability). Recovery is on exactly
+  // when delta_writer_ is set: WriteRecoveryCheckpoint appends to its log
+  // and Recover restores from it.
   std::vector<DistArrayId> recover_arrays_;
-  std::string recover_dir_;
-  int recover_every_ = 0;
-  bool recovery_enabled_ = false;
   bool baseline_ckpt_done_ = false;
   std::vector<std::pair<i32, i32>> pass_log_;  // (loop_id, pass) since last checkpoint
-  std::vector<f64> ckpt_accumulators_;
-
-  // Log-structured durability (EnableDurability). When delta_writer_ is set,
-  // WriteRecoveryCheckpoint appends to the log instead of rewriting .ckpt
-  // files, and Recover restores from the log.
   std::unique_ptr<DeltaLogWriter> delta_writer_;
   DurabilityOptions durability_options_;
 
@@ -470,9 +441,9 @@ class Driver {
   std::map<int, u32> worker_span_seq_;
 
   // Per-pass metric series (flattened into ExportMetrics' "series" section)
-  // and driver-lifetime stripe-contention totals for CriticalPathReport.
+  // and driver-lifetime stripe totals for CriticalPathReport.
   std::map<std::string, std::vector<double>> metrics_series_;
-  std::vector<ParamStripeStats> stripe_totals_;
+  std::vector<StripeMetrics> stripe_totals_;
 
   // ---- Serving tier (StartServingTier) ----
 

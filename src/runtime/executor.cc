@@ -1167,9 +1167,9 @@ void Executor::RunPass(i32 loop_id, i32 pass, int depth_override, int spec_depth
     // are never pipelined: round r+1's prefetch must observe round r's
     // flushes, so issue and await stay back to back (the master-bound link
     // is FIFO, so the request queued behind the flushes reads fresh state).
-    // With the versioned master store these requests are served from a
-    // snapshot pinned at dequeue time — same bytes, but the gather copies
-    // run on the server pool outside any stripe lock. Cross-round prefetch
+    // Under async serving these requests are served from a snapshot pinned
+    // at dequeue time — same bytes, but the gather copies run on the server
+    // pool with no lock held. Cross-round prefetch
     // stays illegal regardless: the snapshot for round r+1 must be pinned
     // *after* round r's flushes are applied.
     const int rounds = cl->options.server_sync_rounds;

@@ -12,6 +12,13 @@
 
 namespace orion {
 
+// One ParamServer gather stripe over one pass (the stripe heatmap).
+struct StripeMetrics {
+  u64 gather_ns = 0;        // cell-copy time inside gather tasks
+  u64 tasks = 0;            // gather tasks routed to this stripe
+  int queue_depth_max = 0;  // peak concurrent gather tasks on this stripe
+};
+
 struct LoopMetrics {
   double pass_wall_seconds = 0.0;        // master-observed wall time
   double max_worker_compute_seconds = 0.0;
@@ -54,15 +61,8 @@ struct LoopMetrics {
   u64 versioned_snapshot_pins = 0;
   u64 versioned_pages_cloned = 0;
   u64 versioned_cow_bytes = 0;
-  // Per-stripe contention heatmap, indexed by stripe. Empty when the pass
-  // had no sharded serving.
-  struct StripeMetrics {
-    u64 busy_ns = 0;    // lock-held gather time (0 on the snapshot path)
-    u64 gather_ns = 0;  // cell-copy time
-    u64 wait_ns = 0;    // lock-acquire wait (readers + writers)
-    u64 tasks = 0;
-    int queue_depth_max = 0;
-  };
+  // Per-stripe heatmap, indexed by stripe. Empty when the pass had no
+  // sharded serving.
   std::vector<StripeMetrics> stripes;
 };
 

@@ -54,11 +54,9 @@ Message BuildParamReply(const ParamRequest& req, const CellStore& master, i32 va
   return reply;
 }
 
-ParamServer::ParamServer(Fabric* fabric, int num_shards, int num_workers,
-                         bool key_range_stripes)
+ParamServer::ParamServer(Fabric* fabric, int num_shards, int num_workers)
     : fabric_(fabric),
       num_shards_(num_shards),
-      key_range_stripes_(key_range_stripes),
       stripes_(std::make_unique<StripeState[]>(static_cast<size_t>(num_shards))),
       sender_(fabric, std::max(1, num_workers)),
       pool_(num_shards) {
@@ -67,37 +65,9 @@ ParamServer::ParamServer(Fabric* fabric, int num_shards, int num_workers,
 
 ParamServer::~ParamServer() { Quiesce(); }
 
-int ParamServer::StripeOf(i64 key, i64 lo, i64 hi) const {
-  if (key_range_stripes_ && hi >= lo && key >= lo && key <= hi) {
-    // Equal contiguous key slices: stripe i owns
-    // [lo + i*span/S, lo + (i+1)*span/S).
-    const u64 span = static_cast<u64>(hi - lo + 1);
-    return static_cast<int>(static_cast<u64>(key - lo) *
-                            static_cast<u64>(num_shards_) / span);
-  }
-  // Cheap mix so strided key lists spread across stripes.
+int ParamServer::StripeOf(i64 key) const {
   u64 h = static_cast<u64>(key) * 0x9E3779B97F4A7C15ull;
   return static_cast<int>((h >> 32) % static_cast<u64>(num_shards_));
-}
-
-void ParamServer::HandleRequest(ParamRequest req, WorkerId from, const CellStore* master,
-                                i32 value_dim) {
-  if (req.speculative) {
-    speculative_served_.fetch_add(1, std::memory_order_relaxed);
-  }
-  auto r = std::make_shared<Request>();
-  r->req = std::move(req);
-  r->from = from;
-  r->master = master;
-  r->value_dim = value_dim;
-  if (master->IsDense()) {
-    r->range_lo = master->range_lo();
-    r->range_hi = master->range_hi();
-  } else {
-    r->range_lo = 0;
-    r->range_hi = -1;
-  }
-  Start(r);
 }
 
 void ParamServer::HandleRequestSnapshot(ParamRequest req, WorkerId from,
@@ -111,13 +81,6 @@ void ParamServer::HandleRequestSnapshot(ParamRequest req, WorkerId from,
   r->req = std::move(req);
   r->from = from;
   r->value_dim = value_dim;
-  if (snap.dense()) {
-    r->range_lo = snap.range_lo();
-    r->range_hi = snap.range_hi();
-  } else {
-    r->range_lo = 0;
-    r->range_hi = -1;
-  }
   r->snap = std::move(snap);
   Start(r);
 }
@@ -125,8 +88,7 @@ void ParamServer::HandleRequestSnapshot(ParamRequest req, WorkerId from,
 void ParamServer::Start(const std::shared_ptr<Request>& r) {
   r->shard_keys.resize(static_cast<size_t>(num_shards_));
   for (i64 key : r->req.keys) {
-    r->shard_keys[static_cast<size_t>(StripeOf(key, r->range_lo, r->range_hi))]
-        .push_back(key);
+    r->shard_keys[static_cast<size_t>(StripeOf(key))].push_back(key);
   }
   int active_shards = 0;
   for (const auto& keys : r->shard_keys) {
@@ -170,34 +132,16 @@ void ParamServer::Gather(const std::shared_ptr<Request>& r, int shard) {
     std::vector<u8>& hits = r->shard_hits[static_cast<size_t>(shard)];
     vals.resize(keys.size() * vdim);
     hits.assign(keys.size(), 0);
-    if (r->snap.valid()) {
-      // Snapshot path: the version is immutable, so no lock is held across
-      // the copy — the stripe's lock scope ended at the pin.
-      const u64 t0 = NowNs();
-      for (size_t i = 0; i < keys.size(); ++i) {
-        const f32* v = r->snap.Get(keys[i]);
-        if (v != nullptr) {
-          simd::CopyF32(vals.data() + i * vdim, v, vdim);
-          hits[i] = 1;
-        }
+    // The pinned version is immutable, so no lock is held across the copy.
+    const u64 t0 = NowNs();
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const f32* v = r->snap.Get(keys[i]);
+      if (v != nullptr) {
+        simd::CopyF32(vals.data() + i * vdim, v, vdim);
+        hits[i] = 1;
       }
-      st.gather_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    } else {
-      const u64 t0 = NowNs();
-      std::shared_lock<std::shared_mutex> lock(st.mu);
-      const u64 t1 = NowNs();
-      for (size_t i = 0; i < keys.size(); ++i) {
-        const f32* v = r->master->Get(keys[i]);
-        if (v != nullptr) {
-          simd::CopyF32(vals.data() + i * vdim, v, vdim);
-          hits[i] = 1;
-        }
-      }
-      const u64 t2 = NowNs();
-      st.wait_ns.fetch_add(t1 - t0, std::memory_order_relaxed);
-      st.busy_ns.fetch_add(t2 - t1, std::memory_order_relaxed);
-      st.gather_ns.fetch_add(t2 - t1, std::memory_order_relaxed);
     }
+    st.gather_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
     st.inflight.fetch_sub(1, std::memory_order_relaxed);
     st.tasks.fetch_add(1, std::memory_order_relaxed);
   }
@@ -233,7 +177,7 @@ void ParamServer::Finish(const std::shared_ptr<Request>& r) {
     const size_t vdim = static_cast<size_t>(r->value_dim);
     std::vector<size_t> cursor(static_cast<size_t>(num_shards_), 0);
     for (i64 key : r->req.keys) {
-      const size_t s = static_cast<size_t>(StripeOf(key, r->range_lo, r->range_hi));
+      const size_t s = static_cast<size_t>(StripeOf(key));
       const size_t i = cursor[s]++;
       if (r->shard_hits[s][i] != 0) {
         simd::CopyF32(pd.cells.GetOrCreate(key), r->shard_vals[s].data() + i * vdim,
@@ -274,42 +218,6 @@ void ParamServer::Quiesce() {
   sender_.Flush();
 }
 
-std::vector<std::unique_lock<std::shared_mutex>> ParamServer::LockAllShards() {
-  std::vector<std::unique_lock<std::shared_mutex>> locks;
-  locks.reserve(static_cast<size_t>(num_shards_));
-  for (int s = 0; s < num_shards_; ++s) {
-    StripeState& st = stripes_[static_cast<size_t>(s)];
-    const u64 t0 = NowNs();
-    locks.emplace_back(st.mu);
-    st.wait_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-  }
-  return locks;
-}
-
-std::vector<std::unique_lock<std::shared_mutex>> ParamServer::LockForUpdate(
-    const CellStore& updates, i64 range_lo, i64 range_hi) {
-  if (!key_range_stripes_ || range_hi < range_lo) {
-    // Hashed master (an insert can rehash the whole store) or key-range
-    // ownership off: writers need full exclusion.
-    return LockAllShards();
-  }
-  std::vector<bool> owned(static_cast<size_t>(num_shards_), false);
-  updates.ForEachConstFast([&](i64 key, const f32*) {
-    owned[static_cast<size_t>(StripeOf(key, range_lo, range_hi))] = true;
-  });
-  std::vector<std::unique_lock<std::shared_mutex>> locks;
-  for (int s = 0; s < num_shards_; ++s) {
-    if (!owned[static_cast<size_t>(s)]) {
-      continue;
-    }
-    StripeState& st = stripes_[static_cast<size_t>(s)];
-    const u64 t0 = NowNs();
-    locks.emplace_back(st.mu);
-    st.wait_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-  }
-  return locks;
-}
-
 void ParamServer::ResetPassStats() {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -319,22 +227,18 @@ void ParamServer::ResetPassStats() {
   speculative_served_.store(0, std::memory_order_relaxed);
   for (int s = 0; s < num_shards_; ++s) {
     StripeState& st = stripes_[static_cast<size_t>(s)];
-    st.busy_ns.store(0, std::memory_order_relaxed);
     st.gather_ns.store(0, std::memory_order_relaxed);
-    st.wait_ns.store(0, std::memory_order_relaxed);
     st.tasks.store(0, std::memory_order_relaxed);
     st.queue_depth_max.store(0, std::memory_order_relaxed);
   }
 }
 
-std::vector<ParamStripeStats> ParamServer::StripeStatsSnapshot() const {
-  std::vector<ParamStripeStats> out(static_cast<size_t>(num_shards_));
+std::vector<StripeMetrics> ParamServer::StripeStatsSnapshot() const {
+  std::vector<StripeMetrics> out(static_cast<size_t>(num_shards_));
   for (int s = 0; s < num_shards_; ++s) {
     const StripeState& st = stripes_[static_cast<size_t>(s)];
-    ParamStripeStats& o = out[static_cast<size_t>(s)];
-    o.busy_ns = st.busy_ns.load(std::memory_order_relaxed);
+    StripeMetrics& o = out[static_cast<size_t>(s)];
     o.gather_ns = st.gather_ns.load(std::memory_order_relaxed);
-    o.wait_ns = st.wait_ns.load(std::memory_order_relaxed);
     o.tasks = st.tasks.load(std::memory_order_relaxed);
     o.queue_depth_max = st.queue_depth_max.load(std::memory_order_relaxed);
   }

@@ -5,20 +5,13 @@
 // (~N x latency) and bounded what deep prefetch could hide. ParamServer moves
 // that work off the loop:
 //
-//   HandleRequestSnapshot — the versioned-store path. The service loop pins a
-//       VersionedCellStore::Snapshot at dequeue time (a refcount bump) and
-//       hands it over; gather tasks copy hits out of the immutable snapshot
-//       with NO lock held — the stripe's lock scope ends at the pin. Writers
-//       never block readers: they clone-on-write the next version instead.
-//   HandleRequest — the legacy locked path (versioned_store = false): each
-//       gather holds its stripe's lock shared across the copy out of the
-//       live master store.
-//   Both split the key list into stripes. With key-range ownership (the
-//       default for dense masters) stripe i owns an equal contiguous slice
-//       of [range_lo, range_hi], so a mid-pass writer locks only the stripes
-//       its keys fall in (LockForUpdate) and disjoint readers/writers
-//       proceed concurrently. Hashed masters fall back to hash-mixed stripes
-//       and full locking, because an insert can rehash the whole store.
+//   HandleRequestSnapshot — the service loop pins a VersionedCellStore
+//       snapshot at dequeue time (a refcount bump) and hands it over; gather
+//       tasks copy hits out of the immutable snapshot with no lock held.
+//       Writers never block readers: they clone-on-write the next version.
+//   The key list is split into stripes by a hash mix of the key, so strided
+//       key lists spread across the pool. Stripes only load-balance the
+//       lock-free gathers; no writer ever waits on one.
 //   The last stripe to finish assembles the reply *in request-key order* and
 //       hands it to a per-destination reply lane (AsyncSender), so sends to
 //       different workers overlap.
@@ -27,18 +20,15 @@
 //       pass abort, and before recovery mutates master state.
 //
 // Determinism: reply contents depend only on (request keys, master state at
-// dequeue time) — exactly what the inline path saw. On the snapshot path the
-// pin happens on the single-threaded service loop at the same point the
-// inline path would have served, and copy-on-write guarantees the pinned
-// version is immutable, so the gathered bytes are identical no matter when
-// the pool thread runs. On the locked path 2D kServer buffered applies are
-// deferred to pass end and wavefront mid-step overwrites touch cells
-// disjoint from any concurrent reader's key list (dependence analysis) with
-// the stripe locks preventing torn reads. Key-order assembly makes the
-// reply bytes identical to the inline gather's, and per-destination lanes
-// keep each worker's replies in FIFO order. kParamReply is not a faultable
-// message kind, so moving replies onto lane threads cannot perturb the
-// injected-fault sequence.
+// dequeue time) — exactly what the inline path saw. The pin happens on the
+// single-threaded service loop at the same point the inline path would have
+// served, and copy-on-write guarantees the pinned version is immutable, so
+// the gathered bytes are identical no matter when the pool thread runs.
+// Key-order assembly makes the reply bytes identical to the inline gather's
+// whatever the stripe split, and per-destination lanes keep each worker's
+// replies in FIFO order. kParamReply is not a faultable message kind, so
+// moving replies onto lane threads cannot perturb the injected-fault
+// sequence.
 #ifndef ORION_SRC_RUNTIME_PARAM_SERVER_H_
 #define ORION_SRC_RUNTIME_PARAM_SERVER_H_
 
@@ -46,7 +36,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <vector>
 
 #include "src/common/thread_pool.h"
@@ -54,6 +43,7 @@
 #include "src/dsm/versioned_store.h"
 #include "src/net/async_sender.h"
 #include "src/net/fabric.h"
+#include "src/runtime/metrics.h"
 #include "src/runtime/protocol.h"
 
 namespace orion {
@@ -66,38 +56,20 @@ namespace orion {
 Message BuildParamReply(const ParamRequest& req, const CellStore& master, i32 value_dim,
                         bool zero_copy);
 
-// Per-stripe contention stats for one pass (the stripe heatmap).
-struct ParamStripeStats {
-  u64 busy_ns = 0;    // lock-held time inside gather tasks (0 on the snapshot path)
-  u64 gather_ns = 0;  // cell-copy time, locked or not
-  u64 wait_ns = 0;    // time spent blocked acquiring the stripe lock
-  u64 tasks = 0;      // gather tasks routed to this stripe
-  int queue_depth_max = 0;  // peak concurrent gather tasks on this stripe
-};
-
 class ParamServer {
  public:
   // `num_shards` gather stripes and pool threads; one reply lane per worker.
-  // `key_range_stripes` keys stripe ownership off contiguous key ranges for
-  // dense masters (hash-mixed otherwise).
-  ParamServer(Fabric* fabric, int num_shards, int num_workers,
-              bool key_range_stripes = true);
+  ParamServer(Fabric* fabric, int num_shards, int num_workers);
   ~ParamServer();
 
   ParamServer(const ParamServer&) = delete;
   ParamServer& operator=(const ParamServer&) = delete;
 
   int num_shards() const { return num_shards_; }
-  bool key_range_stripes() const { return key_range_stripes_; }
 
-  // Locked path. Non-blocking: enqueues the gather work and returns.
-  // `master` must stay valid and un-mutated (except under LockAllShards /
-  // LockForUpdate) until Quiesce().
-  void HandleRequest(ParamRequest req, WorkerId from, const CellStore* master,
-                     i32 value_dim);
-
-  // Snapshot path. The caller pins the version to serve; gathers read it
-  // lock-free and the pin is released when the reply has been assembled.
+  // Non-blocking: enqueues the gather work and returns. The caller pins the
+  // version to serve; gathers read it lock-free and the pin is released when
+  // the reply has been assembled.
   void HandleRequestSnapshot(ParamRequest req, WorkerId from,
                              VersionedCellStore::Snapshot snap, i32 value_dim);
 
@@ -106,17 +78,6 @@ class ParamServer {
   // Cheap when idle.
   void Quiesce();
 
-  // Exclusive access w.r.t. all in-flight locked gathers, for master-state
-  // writers on the locked path.
-  std::vector<std::unique_lock<std::shared_mutex>> LockAllShards();
-
-  // Locks only the stripes owning the keys of `updates` (key-range mode,
-  // dense master [range_lo, range_hi]). Falls back to LockAllShards for
-  // hashed masters — an insert may rehash — or when key-range ownership is
-  // off.
-  std::vector<std::unique_lock<std::shared_mutex>> LockForUpdate(
-      const CellStore& updates, i64 range_lo, i64 range_hi);
-
   // Pass-scoped stats (reset at pass start by the driver).
   void ResetPassStats();
   double serve_seconds() const;    // CPU time across gather + assembly tasks
@@ -124,11 +85,10 @@ class ParamServer {
   // Requests flagged speculative this pass (served identically; the flag is
   // observational for the spec.requests_served metric).
   u64 speculative_served() const { return speculative_served_.load(std::memory_order_relaxed); }
-  std::vector<ParamStripeStats> StripeStatsSnapshot() const;
+  std::vector<StripeMetrics> StripeStatsSnapshot() const;
 
   // Monitor probes: requests currently in flight, and the deepest current
-  // per-stripe gather backlog (atomics / a short mutex; never the stripe
-  // locks).
+  // per-stripe gather backlog (atomics / a short mutex).
   int in_flight() const {
     std::lock_guard<std::mutex> lock(mu_);
     return in_flight_;
@@ -144,17 +104,11 @@ class ParamServer {
   // Reply-lane backlog (messages queued or mid-send toward workers).
   size_t reply_queue_depth() const { return sender_.QueueDepth(); }
 
-  // Stripe of `key` for a master spanning [lo, hi] (hi < lo: hashed master).
-  int StripeOf(i64 key, i64 lo, i64 hi) const;
-
  private:
   struct Request {
     ParamRequest req;
     WorkerId from = 0;
-    const CellStore* master = nullptr;          // locked path
-    VersionedCellStore::Snapshot snap;          // snapshot path (valid() => on)
-    i64 range_lo = 0;                           // stripe domain of the master
-    i64 range_hi = -1;
+    VersionedCellStore::Snapshot snap;
     i32 value_dim = 0;
     std::vector<std::vector<i64>> shard_keys;
     // Per-stripe gather results as flat slices in shard-key order: no hashed
@@ -168,22 +122,20 @@ class ParamServer {
   };
 
   struct StripeState {
-    std::shared_mutex mu;
-    std::atomic<u64> busy_ns{0};
     std::atomic<u64> gather_ns{0};
-    std::atomic<u64> wait_ns{0};
     std::atomic<u64> tasks{0};
     std::atomic<int> inflight{0};
     std::atomic<int> queue_depth_max{0};
   };
 
+  // Stripe of `key`: a cheap hash mix, so strided key lists spread out.
+  int StripeOf(i64 key) const;
   void Start(const std::shared_ptr<Request>& r);
   void Gather(const std::shared_ptr<Request>& r, int shard);
   void Finish(const std::shared_ptr<Request>& r);
 
   Fabric* fabric_;
   int num_shards_;
-  bool key_range_stripes_;
   std::unique_ptr<StripeState[]> stripes_;
 
   mutable std::mutex mu_;

@@ -1,9 +1,5 @@
-// Accumulators with custom reduce operators, the serial fallback executor,
-// and auto-checkpointing.
+// Accumulators with custom reduce operators and the serial fallback executor.
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <fstream>
 
 #include "src/runtime/driver.h"
 
@@ -129,45 +125,6 @@ TEST(SerialFallback, RunsLoopsTheAnalysisRejects) {
   f64 total = 0.0;
   driver.MutableCells(table).ForEach([&](i64, f32* v) { total += v[0]; });
   EXPECT_DOUBLE_EQ(total, 50.0);
-}
-
-TEST(AutoCheckpoint, WritesEveryNPasses) {
-  DriverConfig cfg;
-  cfg.num_workers = 2;
-  Driver driver(cfg);
-  auto data = FillLine(&driver, 40);
-  auto sums = driver.CreateDistArray("sums", {40}, 1, Density::kDense);
-  LoopSpec spec;
-  spec.iter_space = data;
-  spec.iter_extents = {40};
-  spec.AddAccess(sums, "sums", {Expr::LoopIndex(0)}, true);
-  LoopKernel kernel = [&](LoopContext& ctx, IdxSpan idx, const f32* value) {
-    const i64 k[1] = {idx[0]};
-    ctx.Mutate(sums, k)[0] += value[0];
-  };
-  auto loop = driver.Compile(spec, kernel, {});
-  ASSERT_TRUE(loop.ok());
-
-  const std::string dir = ::testing::TempDir();
-  driver.AutoCheckpoint({sums}, dir, /*every_n_passes=*/2);
-  for (int p = 0; p < 4; ++p) {
-    ASSERT_TRUE(driver.Execute(*loop).ok());
-  }
-  // Checkpoints at pass counters 2 and 4.
-  auto exists = [](const std::string& path) {
-    std::ifstream in(path);
-    return static_cast<bool>(in);
-  };
-  int found = 0;
-  for (int pass = 1; pass <= 10; ++pass) {
-    if (exists(dir + "/sums." + std::to_string(pass) + ".ckpt")) {
-      ++found;
-      auto restored = CheckpointRead(dir + "/sums." + std::to_string(pass) + ".ckpt");
-      EXPECT_TRUE(restored.ok());
-      std::remove((dir + "/sums." + std::to_string(pass) + ".ckpt").c_str());
-    }
-  }
-  EXPECT_EQ(found, 2);
 }
 
 }  // namespace

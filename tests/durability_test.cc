@@ -400,8 +400,6 @@ class Workload {
     cfg.seed = opt.seed;
     cfg.async_param_serving = true;
     cfg.param_server_shards = 4;
-    cfg.versioned_store = true;
-    cfg.param_key_range_stripes = true;
     cfg.fault_plan = opt.fault_plan;
     if (cfg.fault_plan.Active()) {
       cfg.supervisor.enabled = true;

@@ -51,10 +51,19 @@ SupervisorConfig FastSupervision() {
 }
 
 // Tests run as parallel ctest processes; each needs its own checkpoint dir.
+// Every run starts from an empty one: the delta-log writer adopts any log it
+// finds there, which would carry one run's records and compaction counter
+// into the next.
 std::string RecoveryDir(const std::string& tag) {
   const std::string dir = ::testing::TempDir() + "/orion_fi_" + tag;
-  std::filesystem::create_directories(dir);
+  std::filesystem::remove_all(dir);
   return dir;
+}
+
+Driver::DurabilityOptions EveryTwoPasses() {
+  Driver::DurabilityOptions opt;
+  opt.every_n_passes = 2;
+  return opt;
 }
 
 Message ControlMsg(WorkerId from, WorkerId to, std::vector<u8> payload) {
@@ -250,8 +259,10 @@ TEST(FaultInjectionE2E, SgdMfCrashRecoveryConvergesAndIsDeterministic) {
     Driver driver(cfg);
     SgdMfApp app(&driver, mf);
     ASSERT_TRUE(app.Init(data, 300, 240).ok());
-    driver.EnableRecovery({app.w(), app.h()}, RecoveryDir("crash_mf"),
-                          /*every_n_passes=*/2);
+    ASSERT_TRUE(driver
+                    .EnableDurability({app.w(), app.h()}, RecoveryDir("crash_mf"),
+                                      EveryTwoPasses())
+                    .ok());
     *loss0 = *app.EvalLoss();
     for (int p = 0; p < 8; ++p) {
       ASSERT_TRUE(app.RunPass().ok());
@@ -310,8 +321,10 @@ TEST(FaultInjectionE2E, OrderedWavefrontSurvivesBarrierFaultsAndCrash) {
   SgdMfApp app(&driver, mf);
   ASSERT_TRUE(app.Init(data, 300, 240).ok());
   ASSERT_TRUE(app.train_plan().ordered);
-  driver.EnableRecovery({app.w(), app.h()}, RecoveryDir("wavefront_mf"),
-                        /*every_n_passes=*/2);
+  ASSERT_TRUE(driver
+                  .EnableDurability({app.w(), app.h()}, RecoveryDir("wavefront_mf"),
+                                    EveryTwoPasses())
+                  .ok());
 
   const f64 loss0 = *app.EvalLoss();
   for (int p = 0; p < 6; ++p) {

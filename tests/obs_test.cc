@@ -432,7 +432,6 @@ TEST(ObsFlightRecorder, CrashRecoveryLeavesParseableBlackBox) {
   DriverConfig cfg;
   cfg.num_workers = 4;
   cfg.seed = 19;
-  cfg.versioned_store = true;
   cfg.fault_plan.seed = 29;
   cfg.fault_plan.crashes = {{/*rank=*/1, /*pass=*/2, /*step=*/-1}};
   cfg.supervisor.enabled = true;

@@ -60,8 +60,7 @@ struct TableResult {
 };
 
 TableResult RunWavefrontTable(bool speculate, int shards, int passes,
-                              FaultPlan fault_plan = {},
-                              bool versioned_store = true) {
+                              FaultPlan fault_plan = {}) {
   constexpr i64 kRows = 8;
   constexpr i64 kCols = 8;
 
@@ -70,7 +69,6 @@ TableResult RunWavefrontTable(bool speculate, int shards, int passes,
   cfg.seed = 21;
   cfg.param_server_shards = shards;
   cfg.fault_plan = fault_plan;
-  cfg.versioned_store = versioned_store;
   auto driver = std::make_unique<Driver>(cfg);
   auto data = driver->CreateDistArray("data", {kRows, kCols}, 1, Density::kSparse);
   auto out_r = driver->CreateDistArray("out_r", {kRows}, 1, Density::kDense);
@@ -143,27 +141,6 @@ TEST(Speculation, WavefrontBitForBitAcrossShardCounts) {
     EXPECT_EQ(off.last.spec_issued, 0u) << "shards=" << shards;
     EXPECT_EQ(off.last.spec_depth_effective, 0) << "shards=" << shards;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Non-versioned async serving (versioned_store=false with a ParamServer)
-// hands gathers to pool threads that read *live* master state: a speculative
-// gather still queued when step t's release goes out can observe step t+1's
-// kOverwrite flushes, outside the [issued_during, step) repair window.
-// Eligibility must therefore refuse speculation in this mode and revert to
-// plain synchronous fetches — same results, zero speculative activity.
-
-TEST(Speculation, IneligibleUnderNonVersionedAsyncServing) {
-  const TableResult sync = RunWavefrontTable(/*speculate=*/false, /*shards=*/4, 3);
-  const TableResult got = RunWavefrontTable(/*speculate=*/true, /*shards=*/4, 3,
-                                            /*fault_plan=*/{},
-                                            /*versioned_store=*/false);
-  EXPECT_TRUE(BitIdentical(sync.out_r, got.out_r));
-  EXPECT_TRUE(BitIdentical(sync.out_c, got.out_c));
-  // The gate held: no speculative slot was issued, shipped, or served.
-  EXPECT_EQ(got.last.spec_depth_effective, 0);
-  EXPECT_EQ(got.last.spec_issued, 0u);
-  EXPECT_EQ(got.spec_requests_served, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // Versioned copy-on-write parameter store: snapshot serving must be
-// bit-for-bit identical to synchronous inline serving in every configuration
-// (1D chunked rounds, wavefront overwrites, stripe counts, key-range vs
-// hashed stripes, fault injection, crash recovery), while gather tasks copy
-// from pinned snapshots without holding a stripe lock.
+// bit-for-bit identical to synchronous inline serving (and to the serial
+// recurrence) in every configuration (1D chunked rounds, wavefront
+// overwrites, stripe counts, fault injection, crash recovery), while gather
+// tasks copy from pinned snapshots with no lock held.
 //
 // Unit layer: the publish -> pin -> clone-on-write -> retire lifecycle of
 // VersionedCellStore (no copy when unique, copy when pinned, hashed inserts
@@ -207,8 +207,7 @@ std::map<i64, std::vector<f32>> Snapshot(Driver* d, DistArrayId id) {
 }
 
 struct OneDOptions {
-  bool versioned = true;
-  bool key_range_stripes = true;
+  bool async = true;  // false: the inline-serving oracle
   int shards = 4;
   int rounds = 2;
   int workers = 4;
@@ -233,10 +232,8 @@ OneDResult RunOneD(const OneDOptions& opt) {
   DriverConfig cfg;
   cfg.num_workers = opt.workers;
   cfg.seed = 19;
-  cfg.async_param_serving = true;
+  cfg.async_param_serving = opt.async;
   cfg.param_server_shards = opt.shards;
-  cfg.versioned_store = opt.versioned;
-  cfg.param_key_range_stripes = opt.key_range_stripes;
   cfg.fault_plan = opt.fault_plan;
   if (cfg.fault_plan.Active()) {
     cfg.supervisor.enabled = true;
@@ -291,7 +288,9 @@ OneDResult RunOneD(const OneDOptions& opt) {
   EXPECT_EQ(driver.PlanOf(*loop).placements.at(table_w).scheme, PartitionScheme::kServer);
 
   if (opt.recovery) {
-    driver.EnableRecovery({table_w}, opt.recovery_dir, /*every_n_passes=*/2);
+    Driver::DurabilityOptions durability;
+    durability.every_n_passes = 2;
+    EXPECT_TRUE(driver.EnableDurability({table_w}, opt.recovery_dir, durability).ok());
   }
   OneDResult res;
   for (int p = 0; p < opt.passes; ++p) {
@@ -306,35 +305,28 @@ OneDResult RunOneD(const OneDOptions& opt) {
 
 TEST(VersionedServing1D, AsyncMatchesInlineAcrossStripesAndRounds) {
   OneDOptions inline_opt;
-  inline_opt.versioned = false;  // 1D without the versioned store = inline path
+  inline_opt.async = false;
   const OneDResult ref = RunOneD(inline_opt);
   EXPECT_EQ(ref.last.versioned_snapshot_pins, 0u);
 
   for (int shards : {1, 4}) {
-    for (bool key_range : {false, true}) {
-      for (int rounds : {1, 2, 4}) {
-        OneDOptions o;
-        o.shards = shards;
-        o.key_range_stripes = key_range;
-        o.rounds = rounds;
-        const OneDResult got = RunOneD(o);
-        EXPECT_TRUE(BitIdentical(ref.table_w, got.table_w))
-            << "shards=" << shards << " key_range=" << key_range
-            << " rounds=" << rounds;
-        EXPECT_EQ(ref.accum, got.accum) << "shards=" << shards << " rounds=" << rounds;
-        // Snapshot serving actually ran: pins were taken, and gather tasks
-        // held no stripe lock (zero busy time across every stripe).
-        EXPECT_GT(got.last.versioned_snapshot_pins, 0u);
-        ASSERT_EQ(got.last.stripes.size(), static_cast<size_t>(shards));
-        u64 busy = 0;
-        u64 tasks = 0;
-        for (const auto& s : got.last.stripes) {
-          busy += s.busy_ns;
-          tasks += s.tasks;
-        }
-        EXPECT_EQ(busy, 0u) << "snapshot gathers must not hold stripe locks";
-        EXPECT_GT(tasks, 0u);
+    for (int rounds : {1, 2, 4}) {
+      OneDOptions o;
+      o.shards = shards;
+      o.rounds = rounds;
+      const OneDResult got = RunOneD(o);
+      EXPECT_TRUE(BitIdentical(ref.table_w, got.table_w))
+          << "shards=" << shards << " rounds=" << rounds;
+      EXPECT_EQ(ref.accum, got.accum) << "shards=" << shards << " rounds=" << rounds;
+      // Snapshot serving actually ran: pins were taken and every stripe's
+      // gather tasks are accounted for.
+      EXPECT_GT(got.last.versioned_snapshot_pins, 0u);
+      ASSERT_EQ(got.last.stripes.size(), static_cast<size_t>(shards));
+      u64 tasks = 0;
+      for (const auto& s : got.last.stripes) {
+        tasks += s.tasks;
       }
+      EXPECT_GT(tasks, 0u);
     }
   }
 }
@@ -348,13 +340,12 @@ TEST(VersionedServing1D, ReadOwnWritesSingleWorker) {
   static constexpr i64 kSamples = 64;
   static constexpr i64 kKeys = 300;
 
-  auto run = [&](bool versioned) {
+  auto run = [&](bool async) {
     DriverConfig cfg;
     cfg.num_workers = 1;
     cfg.seed = 5;
-    cfg.async_param_serving = true;
+    cfg.async_param_serving = async;
     cfg.param_server_shards = 4;
-    cfg.versioned_store = versioned;
     Driver driver(cfg);
 
     auto samples = driver.CreateDistArray("samples", {kSamples}, 2, Density::kDense);
@@ -403,17 +394,20 @@ TEST(VersionedServing1D, ReadOwnWritesSingleWorker) {
 // result exactly; server-hosted C is both prefetched per step (gathers) and
 // overwritten mid-step (kOverwrite flushes), the hottest COW path.
 
-std::vector<f32> RunRecurrence(bool versioned, bool key_range, int shards,
-                               u64* busy_ns, u64* pages_cloned) {
+struct RecurrenceRun {
+  std::vector<f32> c;       // the parallel run's C, row-major
+  std::vector<f32> serial;  // the same recurrence evaluated serially
+  u64 pages_cloned = 0;
+};
+
+RecurrenceRun RunRecurrence(bool async, int shards) {
   const i64 n = 14;
   const i64 m = 11;
 
   DriverConfig cfg;
   cfg.num_workers = 3;
-  cfg.async_param_serving = true;
+  cfg.async_param_serving = async;
   cfg.param_server_shards = shards;
-  cfg.versioned_store = versioned;
-  cfg.param_key_range_stripes = key_range;
   Driver driver(cfg);
   auto grid = driver.CreateDistArray("grid", {n, m}, 1, Density::kSparse);
   auto b = driver.CreateDistArray("B", {n, m}, 1, Density::kDense);
@@ -460,43 +454,36 @@ std::vector<f32> RunRecurrence(bool versioned, bool key_range, int shards,
   auto loop = driver.Compile(spec, kernel, {});
   EXPECT_TRUE(loop.ok()) << loop.status();
   EXPECT_TRUE(driver.Execute(*loop).ok());
-  const LoopMetrics& lm = driver.last_metrics();
-  *busy_ns = 0;
-  for (const auto& s : lm.stripes) {
-    *busy_ns += s.busy_ns;
-  }
-  *pages_cloned = lm.versioned_pages_cloned;
 
-  std::vector<f32> out;
+  RecurrenceRun run;
+  run.pages_cloned = driver.last_metrics().versioned_pages_cloned;
   const CellStore& got = driver.Cells(c);
-  out.reserve(static_cast<size_t>(n * m));
   for (i64 k = 0; k < n * m; ++k) {
     const f32* v = got.Get(k);
-    out.push_back(v != nullptr ? v[0] : 0.0f);
+    run.c.push_back(v != nullptr ? v[0] : 0.0f);
   }
-  return out;
+  const CellStore& bs = driver.Cells(b);
+  run.serial.assign(static_cast<size_t>(n * m), 0.0f);
+  for (i64 i = 0; i < n; ++i) {
+    for (i64 j = 0; j < m; ++j) {
+      const i64 k = i * m + j;
+      const f32 up = i > 0 ? run.serial[static_cast<size_t>(k - m)] : 0.0f;
+      const f32 left = j > 0 ? run.serial[static_cast<size_t>(k - 1)] : 0.0f;
+      run.serial[static_cast<size_t>(k)] = up + left + bs.Get(k)[0];
+    }
+  }
+  return run;
 }
 
 TEST(VersionedServing2D, WavefrontOverwritesVsConcurrentGathers) {
-  u64 busy = 0;
-  u64 cloned = 0;
-  const std::vector<f32> ref = RunRecurrence(false, false, 4, &busy, &cloned);
-  EXPECT_EQ(cloned, 0u);
+  const RecurrenceRun ref = RunRecurrence(/*async=*/false, 4);
+  EXPECT_EQ(ref.serial, ref.c);
+  EXPECT_EQ(ref.pages_cloned, 0u);
 
   for (int shards : {1, 4}) {
-    for (bool key_range : {false, true}) {
-      u64 locked_busy = 0;
-      const std::vector<f32> locked =
-          RunRecurrence(false, key_range, shards, &locked_busy, &cloned);
-      EXPECT_EQ(ref, locked) << "locked shards=" << shards << " kr=" << key_range;
-
-      u64 snap_busy = 0;
-      const std::vector<f32> versioned =
-          RunRecurrence(true, key_range, shards, &snap_busy, &cloned);
-      EXPECT_EQ(ref, versioned) << "versioned shards=" << shards << " kr=" << key_range;
-      // Snapshot gathers never hold a stripe lock.
-      EXPECT_EQ(snap_busy, 0u);
-    }
+    const RecurrenceRun got = RunRecurrence(/*async=*/true, shards);
+    EXPECT_EQ(got.serial, got.c) << "shards=" << shards;
+    EXPECT_EQ(ref.c, got.c) << "shards=" << shards;
   }
 }
 
@@ -587,7 +574,7 @@ TEST(AdaptiveDepth, RotationBitForBitAndExported) {
 
 TEST(VersionedServingChaos, MessageFaultsStayBitForBit) {
   OneDOptions inline_opt;
-  inline_opt.versioned = false;
+  inline_opt.async = false;
   const OneDResult ref = RunOneD(inline_opt);
 
   OneDOptions chaos;
@@ -605,19 +592,21 @@ TEST(VersionedServingChaos, CrashRecoveryRestoresPagedMaster) {
   OneDOptions crash;
   crash.passes = 5;
   crash.recovery = true;
+  // Each run starts from an empty directory: the delta-log writer adopts any
+  // log it finds there.
   crash.recovery_dir = ::testing::TempDir() + "/orion_versioned_crash";
-  std::filesystem::create_directories(crash.recovery_dir);
+  std::filesystem::remove_all(crash.recovery_dir);
   crash.fault_plan.seed = 29;
   crash.fault_plan.crashes = {{/*rank=*/1, /*pass=*/2, /*step=*/-1}};
 
   OneDOptions clean = crash;
   clean.fault_plan = FaultPlan{};
   clean.recovery_dir = ::testing::TempDir() + "/orion_versioned_clean";
-  std::filesystem::create_directories(clean.recovery_dir);
+  std::filesystem::remove_all(clean.recovery_dir);
 
   const OneDResult want = RunOneD(clean);
   const OneDResult got = RunOneD(crash);
-  // The crashed run recovered from the checkpoint (restoring straight over
+  // The crashed run recovered from the delta log (restoring straight over
   // the paginated master) and replayed to the same state as the clean run.
   EXPECT_EQ(got.runtime.crashes_triggered, 1u);
   EXPECT_EQ(got.runtime.workers_lost, 1u);
