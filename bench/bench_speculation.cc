@@ -132,10 +132,10 @@ WavefrontResult RunWavefront(bool speculate, FaultPlan fault_plan = {}) {
   ParallelForOptions options;
   options.prefetch = PrefetchMode::kCached;
   options.speculate = speculate;
-  // Let the controller pipeline a few steps ahead: one step's window is
-  // shorter than the wide reply's transfer time, so depth > 1 is where the
-  // round trip actually disappears from the critical path.
-  options.prefetch_depth_max = 4;
+  // Let the speculation controller pipeline up to 4 steps ahead: one step's
+  // window is shorter than the wide reply's transfer time, so depth > 1 is
+  // where the round trip actually disappears from the critical path.
+  options.prefetch_depth = 4;
   options.planner.replicate_threshold_floats = 0;
   auto loop = driver->Compile(spec, kernel, options);
   ORION_CHECK(loop.ok()) << loop.status();

@@ -152,10 +152,12 @@ std::map<std::string, std::vector<double>> MetricsRegistry::SeriesSnapshot() con
 }
 
 std::string MetricsRegistry::ToJson() const {
-  std::lock_guard<std::mutex> lock(mu_);  // one consistent cut vs. mutators
+  // One consistent cut vs. mutators: copy under the lock, render outside it
+  // so a dump in flight never holds writers off for the whole render.
+  const MetricsRegistry cut(*this);
   std::string out = "{\"counters\":{";
   bool first = true;
-  for (const auto& [name, v] : counters_) {
+  for (const auto& [name, v] : cut.counters_) {
     if (!first) out += ",";
     first = false;
     out += "\"";
@@ -164,7 +166,7 @@ std::string MetricsRegistry::ToJson() const {
   }
   out += "},\"gauges\":{";
   first = true;
-  for (const auto& [name, v] : gauges_) {
+  for (const auto& [name, v] : cut.gauges_) {
     if (!first) out += ",";
     first = false;
     out += "\"";
@@ -173,7 +175,7 @@ std::string MetricsRegistry::ToJson() const {
   }
   out += "},\"histograms\":{";
   first = true;
-  for (const auto& [name, h] : histograms_) {
+  for (const auto& [name, h] : cut.histograms_) {
     if (!first) out += ",";
     first = false;
     out += "\"";
@@ -193,7 +195,7 @@ std::string MetricsRegistry::ToJson() const {
   }
   out += "},\"series\":{";
   first = true;
-  for (const auto& [name, points] : series_) {
+  for (const auto& [name, points] : cut.series_) {
     if (!first) out += ",";
     first = false;
     out += "\"";

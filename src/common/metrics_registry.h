@@ -1,17 +1,18 @@
 // Unified metrics registry: named counters, gauges, and wait histograms
 // behind stable string names, with a deterministic JSON dump.
 //
-// The ad-hoc LoopMetrics/RuntimeMetrics structs stay as the wire/API types;
-// Driver::ExportMetrics() flattens them into a registry so benches and CI
-// consume one schema ("pass.wall_seconds", "net.bytes_sent", ...) instead
-// of struct fields.
+// LoopMetrics/RuntimeMetrics stay the wire/API structs. Their X-macro lists
+// in src/runtime/metrics.h declare each field's registry name and kind, and
+// Driver::ExportMetrics() flattens them into a registry from those lists, so
+// benches and CI consume one schema (pass.wall_seconds, net.bytes_sent, ...)
+// instead of struct fields.
 //
 // Thread-safety: every mutator and reader takes an internal mutex, so
 // appending series points or bumping counters is safe concurrently with a
-// ToJson()/DumpJson() in flight (the dump renders under the lock — one
-// consistent cut). The one escape hatch is Histogram(): the returned
-// reference is meant for single-threaded merge loops and must not be
-// mutated concurrently with a dump.
+// ToJson()/DumpJson() in flight. The dump copies the registry under the lock
+// (one consistent cut) and renders the copy outside it. The one escape hatch
+// is Histogram(): the returned reference is meant for single-threaded merge
+// loops and must not be mutated concurrently with a dump.
 #ifndef ORION_SRC_COMMON_METRICS_REGISTRY_H_
 #define ORION_SRC_COMMON_METRICS_REGISTRY_H_
 

@@ -18,7 +18,7 @@ namespace obs {
 
 namespace {
 
-// "pass.wall_seconds" -> "orion_pass_wall_seconds" (Prometheus metric names
+// pass.wall_seconds -> orion_pass_wall_seconds (Prometheus metric names
 // match [a-zA-Z_:][a-zA-Z0-9_:]*; the prefix guarantees a legal first char).
 std::string Sanitize(const std::string& name) {
   std::string out = "orion_";

@@ -57,15 +57,8 @@ struct ParallelForOptions {
   // steps ahead ParamRequests may be issued. 1 = the classic double buffer
   // (issue t+1 during t). Any depth is legal because 2D kServer buffered
   // applies are deferred to pass end, making server state pass-constant.
+  // For ordered loops it caps the speculation controller's depth instead.
   int prefetch_depth = 2;
-  // Upper bound for the driver's adaptive prefetch-depth controller: when
-  // > 0, the driver re-picks the effective depth in [1, prefetch_depth_max]
-  // at each pass start from the previous pass's merged reply-wait p90
-  // (deepen while blocking waits dominate, shrink when fully hidden) and
-  // ships it in StartPass. 0 = static prefetch_depth. Legal because any
-  // depth is bit-for-bit identical (server state is pass-constant for
-  // rotation loops).
-  int prefetch_depth_max = 0;
   // Speculative parameter prefetch for ordered (wavefront/lockstep)
   // schedules: while step t computes, fetch step t+1's server-hosted reads
   // from a snapshot of the master, then validate the payload at the step

@@ -793,24 +793,6 @@ void Driver::ApplyParamUpdate(const CompiledLoop* cl, PartData pd, u32 tag) {
 Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass) {
   const SupervisorConfig& sup = config_.supervisor;
   const int active = ActiveWorkers();
-  last_metrics_.max_worker_compute_seconds = 0.0;
-  last_metrics_.max_worker_wait_seconds = 0.0;
-  last_metrics_.overlap_seconds = 0.0;
-  last_metrics_.prefetch_wait_hidden_seconds = 0.0;
-  last_metrics_.param_serve_seconds = 0.0;
-  last_metrics_.param_shard_queue_depth_max = 0;
-  last_metrics_.prefetch_ring_depth_used = 0;
-  last_metrics_.spec_issued = 0;
-  last_metrics_.spec_conflicts = 0;
-  last_metrics_.spec_repair_bytes = 0;
-  last_metrics_.spec_conflict_rate = 0.0;
-  last_metrics_.spec_hidden_seconds = 0.0;
-  last_metrics_.spec_wait_seconds = 0.0;
-  last_metrics_.spec_requests_served = 0;
-  last_metrics_.versioned_snapshot_pins = 0;
-  last_metrics_.versioned_pages_cloned = 0;
-  last_metrics_.versioned_cow_bytes = 0;
-  last_metrics_.stripes.clear();
   last_metrics_.worker_reply_wait.assign(static_cast<size_t>(active), WaitHistogram{});
   std::vector<DistArrayId> returned;
 
@@ -958,7 +940,7 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
           m.to = w;
           m.kind = MsgKind::kControl;
           m.payload =
-              StartPass{cl.loop_id, pass, pass_prefetch_depth_, pass_spec_depth_}.Encode();
+              StartPass{cl.loop_id, pass, pass_spec_depth_}.Encode();
           fabric_->SendReliable(std::move(m));
           retry_delay[w] *= sup.retry_backoff_factor;
           next_retry[w] = now + retry_delay[w];
@@ -1110,7 +1092,7 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
             m.to = msg->from;
             m.kind = MsgKind::kControl;
             m.payload =
-                StartPass{cl.loop_id, pass, pass_prefetch_depth_, pass_spec_depth_}.Encode();
+                StartPass{cl.loop_id, pass, pass_spec_depth_}.Encode();
             fabric_->SendReliable(std::move(m));
           }
           break;
@@ -1118,57 +1100,25 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
         if (op != ControlOp::kPassDone) {
           break;  // stray control traffic (e.g. a late retire ack)
         }
-        ByteReader r(msg->payload);
-        r.Get<u16>();
-        const i32 done_loop = r.Get<i32>();
-        const i32 done_pass = r.Get<i32>();
-        if (done_pass != pass || done[msg->from]) {
+        PassDone report = PassDone::Decode(msg->payload);
+        if (report.pass != pass || done[msg->from]) {
           break;  // duplicate or stale PassDone
         }
-        (void)done_loop;
-        const double compute = r.Get<double>();
-        const double wait = r.Get<double>();
-        const double overlap_send = r.Get<double>();
-        const double prefetch_hidden = r.Get<double>();
-        const i32 ring_used = r.Get<i32>();
-        WaitHistogram reply_wait = WaitHistogram::Deserialize(&r);
-        worker_accum[msg->from] = r.GetVec<f64>();
-        if (!r.AtEnd()) {
-          // Piggybacked tracer spans. The done[] dedupe above already ran, so
-          // an injector-duplicated PassDone never appends twice.
-          std::vector<trace::Span> spans = trace::DeserializeSpans(&r);
-          cluster_trace_.insert(cluster_trace_.end(),
-                                std::make_move_iterator(spans.begin()),
-                                std::make_move_iterator(spans.end()));
-        }
-        if (!r.AtEnd()) {
-          // Speculation report: counts/bytes sum across workers, times are
-          // maxima like the other per-worker time metrics.
-          last_metrics_.spec_issued += r.Get<u32>();
-          last_metrics_.spec_conflicts += r.Get<u32>();
-          last_metrics_.spec_repair_bytes += r.Get<u64>();
-          last_metrics_.spec_hidden_seconds =
-              std::max(last_metrics_.spec_hidden_seconds, r.Get<double>());
-          last_metrics_.spec_wait_seconds =
-              std::max(last_metrics_.spec_wait_seconds, r.Get<double>());
-        }
-        last_metrics_.max_worker_compute_seconds =
-            std::max(last_metrics_.max_worker_compute_seconds, compute);
-        last_metrics_.max_worker_wait_seconds =
-            std::max(last_metrics_.max_worker_wait_seconds, wait);
-        last_metrics_.overlap_seconds = std::max(last_metrics_.overlap_seconds, overlap_send);
-        last_metrics_.prefetch_wait_hidden_seconds =
-            std::max(last_metrics_.prefetch_wait_hidden_seconds, prefetch_hidden);
-        last_metrics_.prefetch_ring_depth_used =
-            std::max(last_metrics_.prefetch_ring_depth_used, static_cast<int>(ring_used));
+        worker_accum[msg->from] = std::move(report.accumulators);
+        // Piggybacked tracer spans. The done[] dedupe above already ran, so
+        // an injector-duplicated PassDone never appends twice.
+        cluster_trace_.insert(cluster_trace_.end(),
+                              std::make_move_iterator(report.spans.begin()),
+                              std::make_move_iterator(report.spans.end()));
+        last_metrics_.Fold(report.metrics);
         const size_t slot = static_cast<size_t>(logical_of(msg->from));
         if (slot < last_metrics_.worker_reply_wait.size()) {
-          last_metrics_.worker_reply_wait[slot] = reply_wait;
+          last_metrics_.worker_reply_wait[slot] = report.metrics.reply_wait;
         }
         started[msg->from] = true;
         done[msg->from] = true;
         ++num_done;
-        pass_compute.emplace_back(msg->from, compute);
+        pass_compute.emplace_back(msg->from, report.metrics.compute_seconds);
         {
           RankLive& rl = *rank_live_[static_cast<size_t>(msg->from)];
           if (pass > rl.started.load(std::memory_order_relaxed)) {
@@ -1913,31 +1863,8 @@ void Driver::QuiesceServingAll() {
 MetricsRegistry Driver::ExportMetrics() const {
   MetricsRegistry reg;
   const LoopMetrics& lm = last_metrics_;
-  reg.SetGauge("pass.wall_seconds", lm.pass_wall_seconds);
-  reg.SetGauge("pass.max_worker_compute_seconds", lm.max_worker_compute_seconds);
-  reg.SetGauge("pass.max_worker_wait_seconds", lm.max_worker_wait_seconds);
-  reg.SetGauge("pass.overlap_seconds", lm.overlap_seconds);
-  reg.SetGauge("pass.prefetch_wait_hidden_seconds", lm.prefetch_wait_hidden_seconds);
-  reg.SetGauge("pass.param_serve_seconds", lm.param_serve_seconds);
-  reg.SetCounter("pass.param_shard_queue_depth_max",
-                 static_cast<u64>(lm.param_shard_queue_depth_max));
-  reg.SetCounter("pass.prefetch_ring_depth_used",
-                 static_cast<u64>(lm.prefetch_ring_depth_used));
-  reg.SetGauge("prefetch.depth_effective",
-               static_cast<double>(lm.prefetch_depth_effective));
-  reg.SetCounter("versioned.snapshot_pins", lm.versioned_snapshot_pins);
-  reg.SetCounter("versioned.pages_cloned", lm.versioned_pages_cloned);
-  reg.SetCounter("versioned.cow_bytes", lm.versioned_cow_bytes);
+  lm.ExportTo(&reg);
   reg.SetGauge("spec.enabled", lm.spec_depth_effective > 0 ? 1.0 : 0.0);
-  reg.SetGauge("spec.depth_effective",
-               static_cast<double>(lm.spec_depth_effective));
-  reg.SetGauge("spec.conflict_rate", lm.spec_conflict_rate);
-  reg.SetGauge("spec.hidden_seconds", lm.spec_hidden_seconds);
-  reg.SetGauge("spec.wait_seconds", lm.spec_wait_seconds);
-  reg.SetCounter("spec.issued", lm.spec_issued);
-  reg.SetCounter("spec.conflicts", lm.spec_conflicts);
-  reg.SetCounter("spec.repair_bytes", lm.spec_repair_bytes);
-  reg.SetCounter("spec.requests_served", lm.spec_requests_served);
   for (size_t i = 0; i < lm.stripes.size(); ++i) {
     const auto& s = lm.stripes[i];
     const std::string p = "param.stripe." + std::to_string(i);
@@ -1945,10 +1872,6 @@ MetricsRegistry Driver::ExportMetrics() const {
     reg.SetCounter(p + ".tasks", s.tasks);
     reg.SetCounter(p + ".queue_depth_max", static_cast<u64>(s.queue_depth_max));
   }
-  reg.SetCounter("pass.bytes_sent", lm.bytes_sent);
-  reg.SetCounter("pass.messages_sent", lm.messages_sent);
-  reg.SetGauge("pass.virtual_net_seconds", lm.virtual_net_seconds);
-  reg.SetCounter("pass.zero_copy_bytes", lm.zero_copy_bytes);
   WaitHistogram& reply_wait = reg.Histogram("pass.reply_wait");
   for (const WaitHistogram& h : lm.worker_reply_wait) {
     reply_wait.Merge(h);
@@ -1960,25 +1883,7 @@ MetricsRegistry Driver::ExportMetrics() const {
   reg.SetCounter("net.zero_copy_bytes", fs.zero_copy_bytes);
   reg.SetGauge("net.virtual_seconds", fs.virtual_net_seconds);
 
-  const RuntimeMetrics rm = runtime_metrics();
-  reg.SetCounter("fault.dropped", rm.faults_dropped);
-  reg.SetCounter("fault.duplicated", rm.faults_duplicated);
-  reg.SetCounter("fault.delayed", rm.faults_delayed);
-  reg.SetCounter("fault.crashes_triggered", rm.crashes_triggered);
-  reg.SetCounter("supervision.heartbeats_sent", rm.heartbeats_sent);
-  reg.SetCounter("supervision.retransmits", rm.retransmits);
-  reg.SetCounter("recovery.workers_lost", rm.workers_lost);
-  reg.SetCounter("recovery.recoveries", rm.recoveries);
-  reg.SetCounter("recovery.passes_replayed", rm.passes_replayed);
-  reg.SetGauge("recovery.seconds", rm.recovery_seconds);
-  reg.SetCounter("checkpoint.count", rm.checkpoints_written);
-  reg.SetGauge("checkpoint.seconds", rm.checkpoint_seconds);
-  reg.SetCounter("durability.delta_checkpoints", rm.delta_checkpoints);
-  reg.SetCounter("durability.log_bytes_appended", rm.log_bytes_appended);
-  reg.SetCounter("durability.pages_deltad", rm.pages_deltad);
-  reg.SetCounter("durability.compactions", rm.compactions);
-  reg.SetCounter("durability.worker_rejoins", rm.worker_rejoins);
-  reg.SetGauge("durability.restore_seconds", rm.restore_seconds);
+  runtime_metrics().ExportTo(&reg);
 
   const BufferPool::Stats bp = BufferPool::AggregateStats();
   reg.SetCounter("bufferpool.acquires", bp.acquires);
@@ -2199,20 +2104,7 @@ Driver::PassOutcome Driver::RunPassOnce(i32 loop_id) {
   const CompiledLoop& cl = *it->second;
   EnsureScattered(cl);
 
-  // Adaptive prefetch depth: re-pick the effective ring depth for this pass
-  // from the previous pass's merged reply-wait p90. Any depth in
-  // [1, prefetch_depth_max] is bit-for-bit identical for rotation loops
-  // (server state is pass-constant), so the controller only trades latency
-  // hiding against ring memory / request burstiness.
-  pass_prefetch_depth_ = 0;
-  if (cl.options.prefetch_depth_max > 0) {
-    auto [dit, inserted] = adaptive_depth_.try_emplace(
-        loop_id,
-        std::clamp(cl.options.prefetch_depth, 1, cl.options.prefetch_depth_max));
-    (void)inserted;
-    pass_prefetch_depth_ = dit->second;
-  }
-  last_metrics_.prefetch_depth_effective = pass_prefetch_depth_;
+  last_metrics_.ResetPass();
 
   // Speculative prefetch depth for ordered schedules. Eligibility is
   // structural (overlap engine on, step barrier, a server-hosted array to
@@ -2250,7 +2142,7 @@ Driver::PassOutcome Driver::RunPassOnce(i32 loop_id) {
       m.from = kMasterRank;
       m.to = w;
       m.kind = MsgKind::kControl;
-      m.payload = StartPass{loop_id, pass, pass_prefetch_depth_, pass_spec_depth_}.Encode();
+      m.payload = StartPass{loop_id, pass, pass_spec_depth_}.Encode();
       fabric_->Send(std::move(m));
     }
   }
@@ -2272,32 +2164,6 @@ Driver::PassOutcome Driver::RunPassOnce(i32 loop_id) {
   last_metrics_.virtual_net_seconds = after.virtual_net_seconds - before.virtual_net_seconds;
   last_metrics_.zero_copy_bytes = after.zero_copy_bytes - before.zero_copy_bytes;
 
-  // Controller update for the next pass: deepen while blocking reply waits
-  // dominate and the ring was actually filled; shrink once waits are fully
-  // hidden so idle slots stop holding memory.
-  if (cl.options.prefetch_depth_max > 0) {
-    constexpr double kDeepenP90Seconds = 50e-6;
-    constexpr double kShrinkP90Seconds = 5e-6;
-    WaitHistogram merged;
-    for (const WaitHistogram& h : last_metrics_.worker_reply_wait) {
-      merged.Merge(h);
-    }
-    int& depth = adaptive_depth_[loop_id];
-    if (merged.total_count() > 0) {
-      const int depth_before = depth;
-      const double p90 = merged.ApproxPercentile(0.90);
-      if (p90 > kDeepenP90Seconds &&
-          last_metrics_.prefetch_ring_depth_used >= depth) {
-        depth = std::min(depth + 1, cl.options.prefetch_depth_max);
-      } else if (p90 < kShrinkP90Seconds && depth > 1) {
-        --depth;
-      }
-      if (depth != depth_before) {
-        fr::Record(fr::EventKind::kController, -1, depth, depth_before, "prefetch_depth");
-      }
-    }
-  }
-
   // Speculation controller update. Conflict rate is slots-repaired over
   // slots-issued; hidden vs wait compares what speculation bought (reply
   // latency overlapped with compute) against what it cost (repair round
@@ -2309,9 +2175,7 @@ Driver::PassOutcome Driver::RunPassOnce(i32 loop_id) {
     const double rate = static_cast<double>(last_metrics_.spec_conflicts) /
                         static_cast<double>(last_metrics_.spec_issued);
     last_metrics_.spec_conflict_rate = rate;
-    const int cap = cl.options.prefetch_depth_max > 0
-                        ? cl.options.prefetch_depth_max
-                        : std::max(1, cl.options.prefetch_depth);
+    const int cap = std::max(1, cl.options.prefetch_depth);
     if (rate > 0.5 || (last_metrics_.spec_conflicts > 0 &&
                        last_metrics_.spec_wait_seconds >
                            last_metrics_.spec_hidden_seconds)) {
@@ -2328,21 +2192,8 @@ Driver::PassOutcome Driver::RunPassOnce(i32 loop_id) {
   }
 
   // Per-pass metric series (flattened into MetricsRegistry by
-  // ExportMetrics): the trend the controllers read.
-  metrics_series_["pass.wall_seconds"].push_back(last_metrics_.pass_wall_seconds);
-  metrics_series_["pass.param_serve_seconds"].push_back(
-      last_metrics_.param_serve_seconds);
-  metrics_series_["prefetch.depth_effective"].push_back(
-      static_cast<double>(last_metrics_.prefetch_depth_effective));
-  metrics_series_["spec.depth_effective"].push_back(
-      static_cast<double>(last_metrics_.spec_depth_effective));
-  metrics_series_["spec.conflict_rate"].push_back(last_metrics_.spec_conflict_rate);
-  metrics_series_["spec.repair_bytes"].push_back(
-      static_cast<double>(last_metrics_.spec_repair_bytes));
-  metrics_series_["versioned.pages_cloned"].push_back(
-      static_cast<double>(last_metrics_.versioned_pages_cloned));
-  metrics_series_["versioned.snapshot_pins"].push_back(
-      static_cast<double>(last_metrics_.versioned_snapshot_pins));
+  // ExportMetrics).
+  last_metrics_.AppendSeriesTo(&metrics_series_);
 
   if (delta_writer_ != nullptr) {
     pass_log_.emplace_back(loop_id, pass);

@@ -233,9 +233,9 @@ class Driver {
   // CollectTrace + per-pass critical-path attribution, formatted as a table.
   std::string CriticalPathReport();
 
-  // Flattens LoopMetrics/RuntimeMetrics/FabricStats behind stable names
-  // ("pass.wall_seconds", "net.bytes_sent", ...) with the per-worker
-  // reply-wait histograms merged into one "pass.reply_wait".
+  // Flattens LoopMetrics/RuntimeMetrics (under the names their metrics.h
+  // lists declare) and FabricStats behind stable registry names, with the
+  // per-worker reply-wait histograms merged into one pass.reply_wait.
   MetricsRegistry ExportMetrics() const;
 
   // ---- Live observability (src/obs; paper-external telemetry plane) ----
@@ -413,13 +413,6 @@ class Driver {
   RuntimeMetrics runtime_metrics_;
   std::map<DistArrayId, u32> last_replica_bcast_tag_;
   int pass_counter_ = 0;
-
-  // Adaptive prefetch-depth controller (per loop): the effective depth the
-  // next pass will ship in StartPass, re-picked from the previous pass's
-  // merged reply-wait p90. pass_prefetch_depth_ is the depth of the pass in
-  // flight, reused verbatim by supervision retransmits.
-  std::map<i32, int> adaptive_depth_;
-  int pass_prefetch_depth_ = 0;
 
   // Speculation controller (per loop, ordered schedules): how many steps
   // ahead executors may fetch against a possibly-stale snapshot. Deepens

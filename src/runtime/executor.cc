@@ -250,17 +250,10 @@ void Executor::Run() {
       try {
         if (msg->kind == MsgKind::kControl &&
             PeekControlOp(msg->payload) == ControlOp::kStartPass) {
-          ByteReader r(msg->payload);
-          r.Get<u16>();
-          const i32 loop_id = r.Get<i32>();
-          const i32 pass = r.Get<i32>();
-          // Trailing adaptive-depth and speculation-depth fields; tolerate
-          // their absence so older encoders stay decodable.
-          const i32 depth = r.AtEnd() ? 0 : r.Get<i32>();
-          const i32 spec_depth = r.AtEnd() ? 0 : r.Get<i32>();
-          if (pass > last_completed_pass_) {
+          const StartPass start = StartPass::Decode(msg->payload);
+          if (start.pass > last_completed_pass_) {
             BufferPool::Release(std::move(msg->payload));
-            RunPass(loop_id, pass, depth, spec_depth);
+            RunPass(start.loop_id, start.pass, start.spec_depth);
             continue;
           }
           // Retransmit of an already-finished pass: fall through to the
@@ -379,11 +372,8 @@ void Executor::Dispatch(Message& msg) {
     case ControlOp::kStartPass: {
       // Duplicate or retransmit: if it names the pass we last completed, the
       // PassDone was lost — answer it again.
-      ByteReader r(msg.payload);
-      r.Get<u16>();
-      r.Get<i32>();  // loop id
-      const i32 pass = r.Get<i32>();
-      if (pass == last_completed_pass_ && cached_pass_done_.has_value()) {
+      if (StartPass::Decode(msg.payload).pass == last_completed_pass_ &&
+          cached_pass_done_.has_value()) {
         fabric_->SendReliable(*cached_pass_done_);
       }
       return;
@@ -475,11 +465,11 @@ Message Executor::WaitFor(const std::function<bool(const Message&)>& pred) {
   while (true) {
     auto msg = fabric_->Recv(rank_);
     if (!msg.has_value()) {
-      wait_seconds_ += sw.ElapsedSeconds();
+      report_.wait_seconds += sw.ElapsedSeconds();
       throw HaltSignal{};  // fabric shut down
     }
     if (pred(*msg)) {
-      wait_seconds_ += sw.ElapsedSeconds();
+      report_.wait_seconds += sw.ElapsedSeconds();
       return *std::move(msg);
     }
     Dispatch(*msg);
@@ -493,7 +483,7 @@ std::optional<Message> Executor::WaitForTimeout(
   while (true) {
     const double left = seconds - sw.ElapsedSeconds();
     if (left <= 0.0) {
-      wait_seconds_ += sw.ElapsedSeconds();
+      report_.wait_seconds += sw.ElapsedSeconds();
       return std::nullopt;
     }
     auto msg = fabric_->RecvWithTimeout(rank_, left);
@@ -504,7 +494,7 @@ std::optional<Message> Executor::WaitForTimeout(
       continue;  // timed out; the deadline check above decides
     }
     if (pred(*msg)) {
-      wait_seconds_ += sw.ElapsedSeconds();
+      report_.wait_seconds += sw.ElapsedSeconds();
       return msg;
     }
     Dispatch(*msg);
@@ -635,7 +625,7 @@ void Executor::ExecuteCells(const CompiledLoop& cl, int tau, int chunk, int num_
   } else {
     it->second.ForEachFast(body);
   }
-  compute_seconds_ += sw.ElapsedSeconds();
+  report_.compute_seconds += sw.ElapsedSeconds();
 }
 
 std::map<DistArrayId, std::vector<i64>> Executor::CollectPrefetchKeys(const CompiledLoop& cl,
@@ -699,7 +689,7 @@ std::map<DistArrayId, std::vector<i64>> Executor::CollectPrefetchKeys(const Comp
         prefetch_key_cache_[{cl.loop_id, step, array}] = keys;
       }
     }
-    compute_seconds_ += record_sw.ElapsedSeconds();
+    report_.compute_seconds += record_sw.ElapsedSeconds();
   }
   return recorded;
 }
@@ -793,7 +783,8 @@ void Executor::IssuePrefetch(const CompiledLoop& cl, int tau, int step, int chun
   slot.issued_at.Reset();
   prefetch_ring_.push_back(std::move(slot));
   PublishRingFill();
-  ring_depth_used_ = std::max(ring_depth_used_, static_cast<int>(prefetch_ring_.size()));
+  report_.ring_depth_used =
+      std::max(report_.ring_depth_used, static_cast<i32>(prefetch_ring_.size()));
 }
 
 void Executor::AwaitPrefetch(const CompiledLoop& cl, int step) {
@@ -812,11 +803,11 @@ void Executor::AwaitPrefetch(const CompiledLoop& cl, int step) {
     // Fully overlapped: the wait collapsed to the buffer moves below.
     const double hidden = prefetch_ring_.front().issued_at.ElapsedSeconds();
     if (spec) {
-      spec_hidden_seconds_ += hidden;
+      report_.spec_hidden_seconds += hidden;
     } else {
-      prefetch_hidden_seconds_ += hidden;
+      report_.prefetch_hidden_seconds += hidden;
     }
-    reply_wait_.Add(0.0);
+    report_.reply_wait.Add(0.0);
   } else {
     Stopwatch blocked;
     auto drain = [&] {
@@ -828,12 +819,12 @@ void Executor::AwaitPrefetch(const CompiledLoop& cl, int step) {
     if (spec) {
       ORION_TRACE_SPAN(kExecutor, "spec_wait");
       drain();
-      spec_wait_seconds_ += blocked.ElapsedSeconds();
+      report_.spec_wait_seconds += blocked.ElapsedSeconds();
     } else {
       ORION_TRACE_SPAN(kExecutor, "prefetch_wait");
       drain();
     }
-    reply_wait_.Add(blocked.ElapsedSeconds());
+    report_.reply_wait.Add(blocked.ElapsedSeconds());
   }
   PrefetchSlot slot = std::move(prefetch_ring_.front());
   prefetch_ring_.pop_front();
@@ -892,7 +883,7 @@ void Executor::RepairSpeculative(const CompiledLoop& cl, const PrefetchSlot& slo
   if (conflicts.empty()) {
     return;  // validated clean: the speculation was a pure win
   }
-  ++spec_conflicts_;
+  ++report_.spec_conflicts;
   // Partial repair: re-fetch only the conflicting keys, synchronously (the
   // barrier for step-1 has passed, so the master now serves exactly what a
   // synchronous fetch would read), and overwrite-install them over the
@@ -926,14 +917,14 @@ void Executor::RepairSpeculative(const CompiledLoop& cl, const PrefetchSlot& slo
   prefetch_ring_.pop_front();
   PublishRingFill();
   for (auto& [array, cells] : done.buffers) {
-    spec_repair_bytes_ += cells.SerializedBytes();
+    report_.spec_repair_bytes += cells.SerializedBytes();
     ArrayState& st = GetArray(array);
     const size_t dim = static_cast<size_t>(st.meta.value_dim);
     cells.ForEachConstFast([&](i64 key, const f32* v) {
       simd::CopyF32(st.prefetch_cache.GetOrCreate(key), v, dim);
     });
   }
-  spec_wait_seconds_ += sw.ElapsedSeconds();
+  report_.spec_wait_seconds += sw.ElapsedSeconds();
 }
 
 // Applies pending buffered updates whose targets this worker currently
@@ -1123,7 +1114,7 @@ void Executor::DrainReturningParts(const CompiledLoop& cl) {
   }
 }
 
-void Executor::RunPass(i32 loop_id, i32 pass, int depth_override, int spec_depth) {
+void Executor::RunPass(i32 loop_id, i32 pass, int spec_depth) {
   current_pass_ = pass;
   trace::SetThreadRank(logical_rank_);
   trace::SetThreadPass(pass);
@@ -1136,20 +1127,11 @@ void Executor::RunPass(i32 loop_id, i32 pass, int depth_override, int spec_depth
   for (size_t i = 0; i < accum_.size(); ++i) {
     accum_[i] = AccumIdentity(accum_ops_[i]);
   }
-  compute_seconds_ = 0.0;
-  wait_seconds_ = 0.0;
-  prefetch_hidden_seconds_ = 0.0;
+  report_ = WorkerPassMetrics{};
   prefetch_ring_.clear();
   PublishRingFill();
-  ring_depth_used_ = 0;
-  reply_wait_ = WaitHistogram{};
   step_dirty_.clear();
   spec_depth_ = spec_depth;
-  spec_issued_ = 0;
-  spec_conflicts_ = 0;
-  spec_repair_bytes_ = 0;
-  spec_hidden_seconds_ = 0.0;
-  spec_wait_seconds_ = 0.0;
   overlap_ = cl->options.overlap;
   sender_busy_at_pass_start_ = sender_.busy_seconds();
 
@@ -1201,9 +1183,7 @@ void Executor::RunPass(i32 loop_id, i32 pass, int depth_override, int spec_depth
     // on so the early requests ride the comm thread.
     const bool speculating =
         spec_depth_ > 0 && overlap_ && has_server && cl->NeedsStepBarrier();
-    const int static_depth =
-        depth_override > 0 ? depth_override : cl->options.prefetch_depth;
-    const int depth = pipelined ? std::max(1, static_depth) : 1;
+    const int depth = pipelined ? std::max(1, cl->options.prefetch_depth) : 1;
     // Next step at which this worker executes a block (-1 when none): the
     // step the early issue targets.
     auto next_active = [&](int after) {
@@ -1236,7 +1216,7 @@ void Executor::RunPass(i32 loop_id, i32 pass, int depth_override, int spec_depth
         IssuePrefetch(*cl, cl->TimePartAt(logical_rank_, nstep), nstep, 0, 1,
                       /*speculative=*/true, /*issued_during=*/step);
         issued_through = nstep;
-        ++spec_issued_;
+        ++report_.spec_issued;
       }
     };
     for (int step = 0; step < steps; ++step) {
@@ -1332,18 +1312,9 @@ void Executor::RunPass(i32 loop_id, i32 pass, int depth_override, int spec_depth
   PassDone done;
   done.loop_id = loop_id;
   done.pass = pass;
-  done.compute_seconds = compute_seconds_;
-  done.wait_seconds = wait_seconds_;
-  done.overlap_send_seconds = sender_.busy_seconds() - sender_busy_at_pass_start_;
-  done.prefetch_hidden_seconds = prefetch_hidden_seconds_;
-  done.prefetch_ring_depth_used = ring_depth_used_;
-  done.reply_wait = reply_wait_;
+  report_.overlap_send_seconds = sender_.busy_seconds() - sender_busy_at_pass_start_;
+  done.metrics = report_;
   done.accumulators = accum_;
-  done.spec_issued = spec_issued_;
-  done.spec_conflicts = spec_conflicts_;
-  done.spec_repair_bytes = spec_repair_bytes_;
-  done.spec_hidden_seconds = spec_hidden_seconds_;
-  done.spec_wait_seconds = spec_wait_seconds_;
   if (trace::Enabled()) {
     // Close the pass span, then ship everything this rank recorded (the
     // sender lane is quiesced by the Flush above, so its spans are in).

@@ -83,12 +83,10 @@ class Executor {
   ArrayState& GetArray(DistArrayId id);
   DistArrayBuffer& GetBuffer(DistArrayId target);
 
-  // depth_override > 0 replaces the loop's static prefetch_depth for this
-  // pass (the master's adaptive controller ships it in StartPass).
   // spec_depth > 0 lets ordered (wavefront/lockstep) passes fetch up to that
   // many steps ahead speculatively; 0 keeps the synchronous issue-await
   // pairing.
-  void RunPass(i32 loop_id, i32 pass, int depth_override = 0, int spec_depth = 0);
+  void RunPass(i32 loop_id, i32 pass, int spec_depth = 0);
   void ExecuteCells(const CompiledLoop& cl, int tau, int chunk, int num_chunks);
 
   // ---- Prefetch pipeline (paper Sec. 4.4 + comm/compute overlap) ----
@@ -230,12 +228,10 @@ class Executor {
 
   std::deque<PrefetchSlot> prefetch_ring_;
   std::atomic<int>* ring_fill_gauge_ = nullptr;  // prefetch_ring_.size() mirror
-  int ring_depth_used_ = 0;      // peak ring occupancy this pass
-  WaitHistogram reply_wait_;     // per-await blocked-on-reply time
 
-  double compute_seconds_ = 0.0;
-  double wait_seconds_ = 0.0;
-  double prefetch_hidden_seconds_ = 0.0;
+  // This pass's report to the master (reset at pass start, shipped in
+  // PassDone), and the comm thread's busy time when the pass started.
+  WorkerPassMetrics report_;
   double sender_busy_at_pass_start_ = 0.0;
 
   // ---- Speculation state (reset per pass) ----
@@ -244,11 +240,6 @@ class Executor {
   // RepairSpeculative to find the conflict window of a speculative slot.
   std::map<int, StepDirtySummary> step_dirty_;
   int spec_depth_ = 0;  // from StartPass; 0 = synchronous
-  u32 spec_issued_ = 0;
-  u32 spec_conflicts_ = 0;
-  u64 spec_repair_bytes_ = 0;
-  double spec_hidden_seconds_ = 0.0;
-  double spec_wait_seconds_ = 0.0;
   // Monotonic id of barrier-piggybacked span batches (NOT reset per pass:
   // the master dedupes resends by comparing against the last seq it saw).
   u32 span_batch_seq_ = 0;

@@ -33,78 +33,64 @@ enum class ControlOp : u16 {
 struct StartPass {
   i32 loop_id = 0;
   i32 pass = 0;
-  // Effective prefetch-ring depth for this pass, chosen by the driver's
-  // adaptive controller. 0 = use the loop's static option. Serialized last
-  // so older decoders simply stop before it.
-  i32 prefetch_depth = 0;
   // Speculation depth for ordered schedules: how many steps ahead the
   // executor may fetch parameters speculatively. 0 = synchronous fetch
-  // (speculation off, or the controller disabled it). Trailing like
-  // prefetch_depth.
+  // (speculation off, or the controller disabled it).
   i32 spec_depth = 0;
 
   std::vector<u8> Encode() const {
-    ByteWriter w(sizeof(u16) + 4 * sizeof(i32));
+    ByteWriter w(sizeof(u16) + 3 * sizeof(i32));
     w.Put<u16>(static_cast<u16>(ControlOp::kStartPass));
     w.Put<i32>(loop_id);
     w.Put<i32>(pass);
-    w.Put<i32>(prefetch_depth);
     w.Put<i32>(spec_depth);
     return w.Take();
+  }
+
+  static StartPass Decode(const std::vector<u8>& payload) {
+    ByteReader r(payload);
+    r.Get<u16>();  // op
+    StartPass s;
+    s.loop_id = r.Get<i32>();
+    s.pass = r.Get<i32>();
+    s.spec_depth = r.Get<i32>();
+    return s;
   }
 };
 
 struct PassDone {
   i32 loop_id = 0;
   i32 pass = 0;
-  double compute_seconds = 0.0;
-  double wait_seconds = 0.0;
-  // Comm/compute overlap engine: wall time the worker's comm thread spent
-  // sending during the pass (hidden from the compute thread), and wall time
-  // pipelined prefetches were in flight under compute (waits that collapsed
-  // to a buffer swap because the replies had already arrived).
-  double overlap_send_seconds = 0.0;
-  double prefetch_hidden_seconds = 0.0;
-  // Depth-k prefetch ring: the deepest this worker's ring got during the
-  // pass, and the histogram of its blocking reply waits.
-  i32 prefetch_ring_depth_used = 0;
-  WaitHistogram reply_wait;
+  WorkerPassMetrics metrics;  // the worker's pass report (metrics.h)
   std::vector<f64> accumulators;
   // Span tracer piggyback: the worker's drained spans (empty when tracing
-  // is disabled). Serialized last so older decoders simply stop before it.
+  // is disabled).
   std::vector<trace::Span> spans;
-  // Speculative prefetch engine (ordered schedules): slots issued early,
-  // slots that needed repair, repair bytes re-fetched, in-flight time hidden
-  // under compute, and blocked wait (initial await + repair round trips).
-  // Trailing after the spans; decoders AtEnd-guard them.
-  u32 spec_issued = 0;
-  u32 spec_conflicts = 0;
-  u64 spec_repair_bytes = 0;
-  double spec_hidden_seconds = 0.0;
-  double spec_wait_seconds = 0.0;
 
   std::vector<u8> Encode() const {
     // Fixed fields plus the accumulator vector; the histogram and spans
     // grow the buffer amortized if present.
-    ByteWriter w(sizeof(u16) + 3 * sizeof(i32) + 4 * sizeof(double) + sizeof(u64) +
+    ByteWriter w(sizeof(u16) + 2 * sizeof(i32) + sizeof(WorkerPassMetrics) +
                  accumulators.size() * sizeof(f64) + 64);
     w.Put<u16>(static_cast<u16>(ControlOp::kPassDone));
     w.Put<i32>(loop_id);
     w.Put<i32>(pass);
-    w.Put<double>(compute_seconds);
-    w.Put<double>(wait_seconds);
-    w.Put<double>(overlap_send_seconds);
-    w.Put<double>(prefetch_hidden_seconds);
-    w.Put<i32>(prefetch_ring_depth_used);
-    reply_wait.Serialize(&w);
+    metrics.Serialize(&w);
     w.PutVec(accumulators);
     trace::SerializeSpans(spans, &w);
-    w.Put<u32>(spec_issued);
-    w.Put<u32>(spec_conflicts);
-    w.Put<u64>(spec_repair_bytes);
-    w.Put<double>(spec_hidden_seconds);
-    w.Put<double>(spec_wait_seconds);
     return w.Take();
+  }
+
+  static PassDone Decode(const std::vector<u8>& payload) {
+    ByteReader r(payload);
+    r.Get<u16>();  // op
+    PassDone d;
+    d.loop_id = r.Get<i32>();
+    d.pass = r.Get<i32>();
+    d.metrics = WorkerPassMetrics::Deserialize(&r);
+    d.accumulators = r.GetVec<f64>();
+    d.spans = trace::DeserializeSpans(&r);
+    return d;
   }
 };
 
@@ -183,8 +169,7 @@ struct Retire {
 // or delayed barrier traffic across passes (the tag alone carries only the
 // step). `release` marks the master -> worker "go" broadcast.
 //
-// Two optional trailing sections (section-mask framed, AtEnd-guarded so the
-// bare two-field form stays decodable):
+// Two optional trailing sections, framed by a section mask:
 //   bit 0 — releases while speculation is on carry the dirty-range summary
 //           of the kOverwrite writes flushed during this step (present even
 //           when empty: "present and empty" proves nothing changed, where
@@ -224,9 +209,6 @@ struct BarrierMsg {
     BarrierMsg b;
     b.pass = r.Get<i32>();
     b.release = r.Get<u8>() != 0;
-    if (r.AtEnd()) {
-      return b;
-    }
     const u8 mask = r.Get<u8>();
     if ((mask & 1) != 0) {
       b.has_dirty = true;
@@ -355,9 +337,7 @@ struct ParamRequest {
     p.step = r.Get<i32>();
     p.per_key = r.Get<u8>() != 0;
     p.keys = r.GetVec<i64>();
-    if (!r.AtEnd()) {
-      p.speculative = r.Get<u8>() != 0;
-    }
+    p.speculative = r.Get<u8>() != 0;
     return p;
   }
 

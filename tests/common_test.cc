@@ -357,12 +357,12 @@ TEST(MetricsRegistry, SeriesAccumulatesPerPassPoints) {
   EXPECT_EQ(reg.Series("pass.wall_seconds"), nullptr);
   reg.AppendSeries("pass.wall_seconds", 0.5);
   reg.AppendSeries("pass.wall_seconds", 0.25);
-  reg.AppendSeries("prefetch.depth_effective", 2.0);
+  reg.AppendSeries("spec.depth_effective", 2.0);
   const std::vector<double>* s = reg.Series("pass.wall_seconds");
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(*s, (std::vector<double>{0.5, 0.25}));
-  ASSERT_NE(reg.Series("prefetch.depth_effective"), nullptr);
-  EXPECT_EQ(reg.Series("prefetch.depth_effective")->size(), 1u);
+  ASSERT_NE(reg.Series("spec.depth_effective"), nullptr);
+  EXPECT_EQ(reg.Series("spec.depth_effective")->size(), 1u);
 }
 
 TEST(MetricsRegistry, JsonIsDeterministicAndCarriesSeries) {

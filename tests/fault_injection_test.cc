@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -188,6 +189,135 @@ TEST(FaultInjector, DelayedMessageIsReleasedAfterLaterTraffic) {
   EXPECT_EQ(out[0].kind, MsgKind::kParamUpdate);
   EXPECT_EQ(out[1].kind, MsgKind::kControl);
   EXPECT_EQ(inj.stats().released, 1u);
+}
+
+// ---- Wire messages round-trip through their Encode/Decode pair, and worker
+// reports fold across workers by each metric's declared rule. ----
+
+TEST(Protocol, StartPassRoundTrips) {
+  const std::vector<u8> bytes = StartPass{3, 7, 2}.Encode();
+  EXPECT_EQ(bytes.size(), sizeof(u16) + 3 * sizeof(i32));
+  EXPECT_EQ(PeekControlOp(bytes), ControlOp::kStartPass);
+  const StartPass got = StartPass::Decode(bytes);
+  EXPECT_EQ(got.loop_id, 3);
+  EXPECT_EQ(got.pass, 7);
+  EXPECT_EQ(got.spec_depth, 2);
+}
+
+TEST(Protocol, PassDoneRoundTrips) {
+  PassDone want = MakePassDone(4, 9);
+  WorkerPassMetrics& m = want.metrics;
+  m.compute_seconds = 0.5;
+  m.wait_seconds = 0.25;
+  m.overlap_send_seconds = 0.125;
+  m.prefetch_hidden_seconds = 0.0625;
+  m.ring_depth_used = 3;
+  m.spec_issued = 11;
+  m.spec_conflicts = 2;
+  m.spec_repair_bytes = 4096;
+  m.spec_hidden_seconds = 0.03;
+  m.spec_wait_seconds = 0.02;
+  m.reply_wait.Add(0.0);
+  m.reply_wait.Add(2e-3);
+  m.reply_wait.Add(0.5);
+  want.accumulators = {1.5, -2.25};
+  trace::Span span;
+  span.start_ns = 10;
+  span.end_ns = 25;
+  span.pass = 9;
+  span.step = 1;
+  span.rank = 2;
+  span.tid = 5;
+  span.category = 1;
+  span.name = "compute";
+  want.spans = {span};
+
+  const std::vector<u8> bytes = want.Encode();
+  EXPECT_EQ(PeekControlOp(bytes), ControlOp::kPassDone);
+  const PassDone got = PassDone::Decode(bytes);
+  EXPECT_EQ(got.loop_id, 4);
+  EXPECT_EQ(got.pass, 9);
+  const WorkerPassMetrics& g = got.metrics;
+  EXPECT_EQ(g.compute_seconds, 0.5);
+  EXPECT_EQ(g.wait_seconds, 0.25);
+  EXPECT_EQ(g.overlap_send_seconds, 0.125);
+  EXPECT_EQ(g.prefetch_hidden_seconds, 0.0625);
+  EXPECT_EQ(g.ring_depth_used, 3);
+  EXPECT_EQ(g.spec_issued, 11u);
+  EXPECT_EQ(g.spec_conflicts, 2u);
+  EXPECT_EQ(g.spec_repair_bytes, 4096u);
+  EXPECT_EQ(g.spec_hidden_seconds, 0.03);
+  EXPECT_EQ(g.spec_wait_seconds, 0.02);
+  EXPECT_EQ(g.reply_wait.total_count(), 3u);
+  for (int b = 0; b < WaitHistogram::kNumBuckets; ++b) {
+    EXPECT_EQ(g.reply_wait.counts[b], m.reply_wait.counts[b]) << "bucket " << b;
+  }
+  EXPECT_EQ(g.reply_wait.total_seconds, m.reply_wait.total_seconds);
+  EXPECT_EQ(g.reply_wait.max_seconds, 0.5);
+  EXPECT_EQ(got.accumulators, want.accumulators);
+  ASSERT_EQ(got.spans.size(), 1u);
+  EXPECT_EQ(got.spans[0].start_ns, 10);
+  EXPECT_EQ(got.spans[0].end_ns, 25);
+  EXPECT_EQ(got.spans[0].pass, 9);
+  EXPECT_EQ(got.spans[0].step, 1);
+  EXPECT_EQ(got.spans[0].rank, 2);
+  EXPECT_EQ(got.spans[0].tid, 5);
+  EXPECT_EQ(got.spans[0].category, 1);
+  EXPECT_EQ(got.spans[0].name, "compute");
+}
+
+TEST(LoopMetrics, FoldTakesMaxOfTimesAndRingDepthAndSumsSpecCounts) {
+  WorkerPassMetrics a;
+  a.compute_seconds = 0.5;
+  a.wait_seconds = 0.1;
+  a.overlap_send_seconds = 0.3;
+  a.prefetch_hidden_seconds = 0.05;
+  a.ring_depth_used = 2;
+  a.spec_issued = 5;
+  a.spec_conflicts = 1;
+  a.spec_repair_bytes = 100;
+  a.spec_hidden_seconds = 0.02;
+  a.spec_wait_seconds = 0.4;
+  WorkerPassMetrics b;
+  b.compute_seconds = 0.2;
+  b.wait_seconds = 0.6;
+  b.overlap_send_seconds = 0.1;
+  b.prefetch_hidden_seconds = 0.07;
+  b.ring_depth_used = 4;
+  b.spec_issued = 7;
+  b.spec_conflicts = 3;
+  b.spec_repair_bytes = 250;
+  b.spec_hidden_seconds = 0.09;
+  b.spec_wait_seconds = 0.1;
+
+  LoopMetrics lm;
+  lm.pass_wall_seconds = 1.0;
+  lm.spec_issued = 99;
+  lm.ResetPass();
+  EXPECT_EQ(lm.pass_wall_seconds, 1.0) << "assigned at pass end, not reset";
+  EXPECT_EQ(lm.spec_issued, 0u);
+  lm.Fold(a);
+  lm.Fold(b);
+  EXPECT_EQ(lm.max_worker_compute_seconds, 0.5);
+  EXPECT_EQ(lm.max_worker_wait_seconds, 0.6);
+  EXPECT_EQ(lm.overlap_seconds, 0.3);
+  EXPECT_EQ(lm.prefetch_wait_hidden_seconds, 0.07);
+  EXPECT_EQ(lm.prefetch_ring_depth_used, 4);
+  EXPECT_EQ(lm.spec_hidden_seconds, 0.09);
+  EXPECT_EQ(lm.spec_wait_seconds, 0.4);
+  EXPECT_EQ(lm.spec_issued, 12u);
+  EXPECT_EQ(lm.spec_conflicts, 4u);
+  EXPECT_EQ(lm.spec_repair_bytes, 350u);
+
+  MetricsRegistry reg;
+  lm.ExportTo(&reg);
+  EXPECT_EQ(reg.Counter("spec.issued"), 12u);
+  EXPECT_EQ(reg.Gauge("pass.max_worker_wait_seconds"), 0.6);
+  std::map<std::string, std::vector<double>> series;
+  lm.AppendSeriesTo(&series);
+  EXPECT_EQ(series.count("pass.wall_seconds"), 1u);
+  EXPECT_EQ(series.count("spec.repair_bytes"), 1u);
+  EXPECT_EQ(series.count("spec.issued"), 0u);
 }
 
 // ---- End-to-end chaos: SGD MF ----

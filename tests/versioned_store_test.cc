@@ -488,88 +488,6 @@ TEST(VersionedServing2D, WavefrontOverwritesVsConcurrentGathers) {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive prefetch depth: any controller-chosen depth is bit-for-bit
-// identical for rotation loops, and the effective depth is exported.
-
-TEST(AdaptiveDepth, RotationBitForBitAndExported) {
-  constexpr i64 kRows = 18;
-  constexpr i64 kCols = 18;
-
-  auto run = [&](int depth_max) {
-    DriverConfig cfg;
-    cfg.num_workers = 3;
-    cfg.seed = 7;
-    cfg.net.latency_us = 200.0;
-    cfg.net.bandwidth_bps = 1e9;
-    Driver driver(cfg);
-    auto data = driver.CreateDistArray("data", {kRows, kCols}, 1, Density::kSparse);
-    auto out_r = driver.CreateDistArray("out_r", {kRows}, 1, Density::kDense);
-    auto table = driver.CreateDistArray("table", {kRows + kCols - 1}, 1, Density::kDense);
-    {
-      Rng rng(3);
-      CellStore& cells = driver.MutableCells(data);
-      for (i64 s = 0; s < 260; ++s) {
-        const i64 i = static_cast<i64>(rng.NextBounded(kRows));
-        const i64 j = static_cast<i64>(rng.NextBounded(kCols));
-        *cells.GetOrCreate(i * kCols + j) = 1.0f + static_cast<f32>(s % 3);
-      }
-      driver.MapCells(table, [](i64 key, f32* v) {
-        v[0] = 0.25f + 0.01f * static_cast<f32>(key);
-      });
-    }
-    LoopSpec spec;
-    spec.iter_space = data;
-    spec.iter_extents = {kRows, kCols};
-    spec.AddAccess(out_r, "out_r", {Expr::LoopIndex(0)}, /*is_write=*/true);
-    spec.AddAccess(table, "table",
-                   {Expr::Add(Expr::LoopIndex(0), Expr::LoopIndex(1))},
-                   /*is_write=*/false);
-    LoopKernel kernel = [=](LoopContext& ctx, IdxSpan idx, const f32* value) {
-      const i64 k[1] = {idx[0] + idx[1]};
-      const i64 ki[1] = {idx[0]};
-      ctx.Mutate(out_r, ki)[0] += value[0] * ctx.Read(table, k)[0];
-    };
-    ParallelForOptions options;
-    options.prefetch = PrefetchMode::kCached;
-    options.prefetch_depth = 2;
-    options.prefetch_depth_max = depth_max;
-    options.planner.replicate_threshold_floats = 0;
-    auto loop = driver.Compile(spec, kernel, options);
-    EXPECT_TRUE(loop.ok()) << loop.status();
-    std::vector<int> depths;
-    for (int p = 0; p < 5; ++p) {
-      EXPECT_TRUE(driver.Execute(*loop).ok());
-      depths.push_back(driver.last_metrics().prefetch_depth_effective);
-    }
-    const MetricsRegistry reg = driver.ExportMetrics();
-    return std::make_tuple(Snapshot(&driver, out_r), depths, reg.ToJson(),
-                           reg.Gauge("prefetch.depth_effective"),
-                           reg.Series("prefetch.depth_effective") != nullptr
-                               ? *reg.Series("prefetch.depth_effective")
-                               : std::vector<double>{});
-  };
-
-  auto [ref_cells, ref_depths, ref_json, ref_gauge, ref_series] = run(0);
-  for (int d : ref_depths) {
-    EXPECT_EQ(d, 0) << "static config reports no adaptive depth";
-  }
-  (void)ref_json;
-  (void)ref_gauge;
-  (void)ref_series;
-
-  auto [cells, depths, json, gauge, series] = run(4);
-  EXPECT_TRUE(BitIdentical(ref_cells, cells));
-  for (int d : depths) {
-    EXPECT_GE(d, 1);
-    EXPECT_LE(d, 4);
-  }
-  EXPECT_GE(gauge, 1.0);
-  EXPECT_LE(gauge, 4.0);
-  ASSERT_EQ(series.size(), 5u);  // one point per pass
-  EXPECT_NE(json.find("\"prefetch.depth_effective\""), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
 // Chaos: message faults and a mid-run crash with versioned serving active.
 
 TEST(VersionedServingChaos, MessageFaultsStayBitForBit) {
