@@ -83,7 +83,7 @@ RunResult RunRotationServer(bool overlap, bool zero_copy) {
   cfg.seed = 11;
   cfg.zero_copy = zero_copy;
   // Serve inline on every config: this bench isolates the overlap engine, and
-  // sharded async serving (measured by bench_param_serving) would speed up the
+  // async serving (measured by bench_param_serving) would speed up the
   // sync baseline too and mask the ratio under test.
   cfg.async_param_serving = false;
   Driver driver(cfg);

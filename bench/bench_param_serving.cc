@@ -1,9 +1,9 @@
-// Sharded async parameter serving + depth-k prefetch ring: pass wall time
-// across a (ring depth, shard count) sweep on the rotation+server scenario,
-// under a cost model that charges real time at the sender.
+// Async parameter serving + depth-k prefetch ring: pass wall time across a
+// ring-depth sweep on the rotation+server scenario, under a cost model that
+// charges real time at the sender.
 //
 // The PR-2 overlap engine (depth-1 double buffer, inline serving on the
-// master's service loop) is the baseline; the sweep turns on the sharded
+// master's service loop) is the baseline; the sweep turns on the async
 // ParamServer and deepens the ring. One extra point runs the deepest
 // configuration under seeded message faults (drop/dup/delay of control
 // traffic) to show the async path composes with supervision.
@@ -54,7 +54,6 @@ struct Config {
   bool overlap = true;
   bool async_serving = true;
   int depth = 2;
-  int shards = 4;
   bool faults = false;
 };
 
@@ -80,7 +79,6 @@ RunResult Run(const Config& c) {
   cfg.net = SlowLink();
   cfg.seed = 11;
   cfg.async_param_serving = c.async_serving;
-  cfg.param_server_shards = c.shards;
   if (c.faults) {
     cfg.fault_plan.seed = 29;
     cfg.fault_plan.drop_prob = 0.03;
@@ -122,7 +120,7 @@ RunResult Run(const Config& c) {
   // Lighter compute than bench_overlap's kernel: here the regime under test
   // is a master-bound pass, where the inline reply fan-out (one serialized
   // ~latency sleep per worker per step on the service loop) exceeds the
-  // kernel time and stalls every worker. The sharded server's per-worker
+  // kernel time and stalls every worker. The async server's per-worker
   // reply lanes overlap that fan-out; the deep ring hides the round trip.
   LoopKernel kernel = [=](LoopContext& ctx, IdxSpan idx, const f32* value) {
     const i64 k[1] = {idx[0] + idx[1]};
@@ -187,7 +185,7 @@ struct OneDResult {
   f64 accum = 0.0;
 };
 
-OneDResult Run1D(bool async_serving, int shards) {
+OneDResult Run1D(bool async_serving) {
   constexpr i64 kSamples = 1536;
   constexpr i64 kKeys = 6000;
   constexpr int kRounds = 4;
@@ -198,7 +196,6 @@ OneDResult Run1D(bool async_serving, int shards) {
   cfg.net = SlowLink();
   cfg.seed = 17;
   cfg.async_param_serving = async_serving;
-  cfg.param_server_shards = shards;
   Driver driver(cfg);
 
   auto samples = driver.CreateDistArray("samples", {kSamples}, 3, Density::kDense);
@@ -262,8 +259,8 @@ OneDResult Run1D(bool async_serving, int shards) {
 }
 
 int Main() {
-  PrintHeader("sharded async parameter serving + depth-k prefetch ring",
-              "pass wall seconds across (ring depth, shard count), vs the depth-1 "
+  PrintHeader("async parameter serving + depth-k prefetch ring",
+              "pass wall seconds across ring depths, vs the depth-1 "
               "inline-serving overlap baseline, real-time-charged link");
 
   Config sync_cfg;
@@ -285,37 +282,31 @@ int Main() {
 
   struct Point {
     int depth;
-    int shards;
     RunResult res;
     bool identical;
   };
   std::vector<Point> points;
-  std::printf("depth,shards,sec_per_pass,speedup_vs_baseline,serve_sec,ring_depth,"
+  std::printf("depth,sec_per_pass,speedup_vs_baseline,serve_sec,ring_depth,"
               "reply_wait_sec,identical\n");
-  std::printf("sync,,%.4f,,,,,\n", sync.sec_per_pass);
-  std::printf("1(inline),,%.4f,1.00,,,,%d\n", baseline.sec_per_pass, identical ? 1 : 0);
+  std::printf("sync,%.4f,,,,,\n", sync.sec_per_pass);
+  std::printf("1(inline),%.4f,1.00,,,,%d\n", baseline.sec_per_pass, identical ? 1 : 0);
   for (int depth : {1, 2, 4}) {
-    for (int shards : {1, 4}) {
-      Config c;
-      c.depth = depth;
-      c.shards = shards;
-      Point p{depth, shards, Run(c), false};
-      p.identical = Identical(sync, p.res);
-      if (!p.identical) {
-        std::printf("MISMATCH: depth=%d shards=%d is not bit-for-bit identical to sync\n",
-                    depth, shards);
-        identical = false;
-      }
-      std::printf("%d,%d,%.4f,%.2f,%.4f,%d,%.4f,%d\n", depth, shards, p.res.sec_per_pass,
-                  baseline.sec_per_pass / p.res.sec_per_pass, p.res.serve_seconds,
-                  p.res.ring_depth, p.res.reply_wait_seconds, p.identical ? 1 : 0);
-      points.push_back(std::move(p));
+    Config c;
+    c.depth = depth;
+    Point p{depth, Run(c), false};
+    p.identical = Identical(sync, p.res);
+    if (!p.identical) {
+      std::printf("MISMATCH: depth=%d is not bit-for-bit identical to sync\n", depth);
+      identical = false;
     }
+    std::printf("%d,%.4f,%.2f,%.4f,%d,%.4f,%d\n", depth, p.res.sec_per_pass,
+                baseline.sec_per_pass / p.res.sec_per_pass, p.res.serve_seconds,
+                p.res.ring_depth, p.res.reply_wait_seconds, p.identical ? 1 : 0);
+    points.push_back(std::move(p));
   }
 
   Config fault_cfg;
   fault_cfg.depth = 2;
-  fault_cfg.shards = 4;
   fault_cfg.faults = true;
   const RunResult faulted = Run(fault_cfg);
   const bool fault_identical = Identical(sync, faulted);
@@ -323,42 +314,32 @@ int Main() {
     std::printf("MISMATCH: fault-injected run is not bit-for-bit identical to sync\n");
     identical = false;
   }
-  std::printf("2,4,%.4f,%.2f,%.4f,%d,%.4f,%d  (fault-injected)\n", faulted.sec_per_pass,
+  std::printf("2,%.4f,%.2f,%.4f,%d,%.4f,%d  (fault-injected)\n", faulted.sec_per_pass,
               baseline.sec_per_pass / faulted.sec_per_pass, faulted.serve_seconds,
               faulted.ring_depth, faulted.reply_wait_seconds, fault_identical ? 1 : 0);
 
-  const OneDResult one_d_inline = Run1D(/*async_serving=*/false, /*shards=*/4);
+  const OneDResult one_d_inline = Run1D(/*async_serving=*/false);
   ORION_CHECK(one_d_inline.snapshot_pins == 0);
   std::printf("\n1D chunked serving:\n");
   std::printf("config,sec_per_pass,speedup_vs_inline,serve_sec,pins,identical\n");
   std::printf("inline,%.4f,1.00,,,\n", one_d_inline.sec_per_pass);
-  double one_d_best_speedup = 0.0;
-  std::vector<std::string> one_d_rows;
-  for (int shards : {1, 4}) {
-    const OneDResult got = Run1D(/*async_serving=*/true, shards);
-    const bool same =
-        got.table_w == one_d_inline.table_w && got.accum == one_d_inline.accum;
-    if (!same) {
-      std::printf("MISMATCH: 1D shards=%d is not bit-for-bit identical to inline\n", shards);
-      identical = false;
-    }
-    ORION_CHECK(got.snapshot_pins > 0);
-    const double speedup = one_d_inline.sec_per_pass / got.sec_per_pass;
-    one_d_best_speedup = std::max(one_d_best_speedup, speedup);
-    std::printf("snapshot_s%d,%.4f,%.2f,%.4f,%llu,%d\n", shards, got.sec_per_pass, speedup,
-                got.serve_seconds, static_cast<unsigned long long>(got.snapshot_pins),
-                same ? 1 : 0);
-    one_d_rows.push_back(
-        JsonF("{\"shards\": %d, \"sec_per_pass\": %.6f, \"speedup_vs_inline\": %.3f, "
-              "\"serve_sec\": %.6f, \"snapshot_pins\": %llu, \"identical\": %s}",
-              shards, got.sec_per_pass, speedup, got.serve_seconds,
-              static_cast<unsigned long long>(got.snapshot_pins), same ? "true" : "false"));
+  const OneDResult one_d = Run1D(/*async_serving=*/true);
+  const bool one_d_same =
+      one_d.table_w == one_d_inline.table_w && one_d.accum == one_d_inline.accum;
+  if (!one_d_same) {
+    std::printf("MISMATCH: 1D snapshot serving is not bit-for-bit identical to inline\n");
+    identical = false;
   }
+  ORION_CHECK(one_d.snapshot_pins > 0);
+  const double one_d_speedup = one_d_inline.sec_per_pass / one_d.sec_per_pass;
+  std::printf("snapshot,%.4f,%.2f,%.4f,%llu,%d\n", one_d.sec_per_pass, one_d_speedup,
+              one_d.serve_seconds, static_cast<unsigned long long>(one_d.snapshot_pins),
+              one_d_same ? 1 : 0);
 
-  // Headline: the deepest sharded configuration vs the PR-2 baseline.
+  // Headline: the deep-ring configurations vs the depth-1 inline baseline.
   double best_speedup = 0.0;
   for (const Point& p : points) {
-    if (p.depth >= 2 && p.shards >= 4) {
+    if (p.depth >= 2) {
       best_speedup = std::max(best_speedup, baseline.sec_per_pass / p.res.sec_per_pass);
     }
   }
@@ -366,12 +347,12 @@ int Main() {
   std::vector<std::string> sweep_rows;
   for (const Point& p : points) {
     sweep_rows.push_back(
-        JsonF("{\"depth\": %d, \"shards\": %d, \"sec_per_pass\": %.6f, "
+        JsonF("{\"depth\": %d, \"sec_per_pass\": %.6f, "
               "\"speedup_vs_baseline\": %.3f, \"serve_sec\": %.6f, "
               "\"ring_depth_used\": %d, \"reply_wait_sec\": %.6f, "
               "\"reply_wait_p50\": %.6f, \"reply_wait_p99\": %.6f, "
               "\"identical\": %s}",
-              p.depth, p.shards, p.res.sec_per_pass,
+              p.depth, p.res.sec_per_pass,
               baseline.sec_per_pass / p.res.sec_per_pass, p.res.serve_seconds,
               p.res.ring_depth, p.res.reply_wait_seconds,
               p.res.reply_wait.ApproxPercentile(0.5),
@@ -382,21 +363,23 @@ int Main() {
       .Figure("overlap_depth1_inline_sec", baseline.sec_per_pass)
       .Figure("sweep", BenchJson::Array(sweep_rows))
       .Figure("fault_injected",
-              JsonF("{\"depth\": 2, \"shards\": 4, \"sec_per_pass\": %.6f, "
+              JsonF("{\"depth\": 2, \"sec_per_pass\": %.6f, "
                     "\"identical\": %s}",
                     faulted.sec_per_pass, fault_identical ? "true" : "false"))
       .Figure("best_speedup_vs_baseline", JsonF("%.3f", best_speedup))
       .Figure("one_d",
-              JsonF("{\"inline_sec\": %.6f, \"best_speedup_vs_inline\": %.3f, \"sweep\": ",
-                    one_d_inline.sec_per_pass, one_d_best_speedup) +
-                  BenchJson::Array(one_d_rows) + "}")
+              JsonF("{\"inline_sec\": %.6f, \"snapshot_sec\": %.6f, "
+                    "\"speedup_vs_inline\": %.3f, \"serve_sec\": %.6f, "
+                    "\"snapshot_pins\": %llu, \"identical\": %s}",
+                    one_d_inline.sec_per_pass, one_d.sec_per_pass, one_d_speedup,
+                    one_d.serve_seconds, static_cast<unsigned long long>(one_d.snapshot_pins),
+                    one_d_same ? "true" : "false"))
       .Figure("bit_for_bit_identical", identical)
       .Write();
 
-  PrintShape("sharded serving + deep ring beats the depth-1 inline baseline by >= 1.15x",
+  PrintShape("async serving + deep ring beats the depth-1 inline baseline by >= 1.15x",
              best_speedup >= 1.15);
-  PrintShape("1D snapshot serving beats the inline baseline by >= 1.15x",
-             one_d_best_speedup >= 1.15);
+  PrintShape("1D snapshot serving beats the inline baseline by >= 1.15x", one_d_speedup >= 1.15);
   PrintShape("all configurations bit-for-bit identical to their reference run", identical);
   return identical ? 0 : 1;
 }

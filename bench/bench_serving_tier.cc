@@ -87,7 +87,6 @@ Wavefront MakeWavefront() {
   DriverConfig cfg;
   cfg.num_workers = 4;
   cfg.seed = 21;
-  cfg.param_server_shards = 4;
   w.driver = std::make_unique<Driver>(cfg);
   w.data = w.driver->CreateDistArray("data", {kRows, kCols}, 1, Density::kSparse);
   w.out_r = w.driver->CreateDistArray("out_r", {kRows}, 1, Density::kDense);

@@ -33,7 +33,7 @@ namespace trace {
 enum class Category : u16 {
   kDriver = 0,       // master pass lifecycle
   kExecutor = 1,     // worker step phases (sequential on the worker thread)
-  kParamServer = 2,  // shard gather + reply assembly (master pool threads)
+  kParamServer = 2,  // one gather per param request (master pool threads)
   kSender = 3,       // AsyncSender lane activity
   kFabric = 4,       // individual send/recv with message kind
 };

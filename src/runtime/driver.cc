@@ -1,7 +1,6 @@
 #include "src/runtime/driver.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <set>
 
 #include "src/common/buffer_pool.h"
@@ -18,6 +17,25 @@ namespace orion {
 
 namespace {
 u32 PartTag(int tau) { return static_cast<u32>(tau + 1); }
+
+// The kStartPass control message for one worker: the pass fan-out, the
+// supervision retry, and the lost-PassDone retransmit all send this.
+Message StartPassMessage(int to, i32 loop_id, i32 pass, int spec_depth) {
+  Message m;
+  m.from = kMasterRank;
+  m.to = to;
+  m.kind = MsgKind::kControl;
+  m.payload = StartPass{loop_id, pass, spec_depth}.Encode();
+  return m;
+}
+
+// Raises a monitor watermark. Only the driver thread writes, so a plain
+// load-compare-store cannot lose a raise.
+void RaiseWatermark(std::atomic<i64>* mark, i64 value) {
+  if (value > mark->load(std::memory_order_relaxed)) {
+    mark->store(value, std::memory_order_relaxed);
+  }
+}
 }  // namespace
 
 Driver::Driver(const DriverConfig& config)
@@ -35,8 +53,7 @@ Driver::Driver(const DriverConfig& config)
   fabric_->SetZeroCopy(config_.zero_copy);
   dir_.SetSupervisor(config_.supervisor);
   if (config_.async_param_serving) {
-    param_server_ = std::make_unique<ParamServer>(
-        fabric_.get(), std::max(1, config_.param_server_shards), config_.num_workers);
+    param_server_ = std::make_unique<ParamServer>(fabric_.get(), config_.num_workers);
   }
   live_ranks_.resize(static_cast<size_t>(config.num_workers));
   for (int w = 0; w < config.num_workers; ++w) {
@@ -796,7 +813,7 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
   last_metrics_.worker_reply_wait.assign(static_cast<size_t>(active), WaitHistogram{});
   std::vector<DistArrayId> returned;
 
-  // Sharded async serving from pinned snapshots. 1D chunked loops rely on
+  // Async serving from pinned snapshots. 1D chunked loops rely on
   // prompt mid-pass freshness (a round's request, queued behind its flushes
   // on the FIFO master link, must read the just-applied state); the snapshot
   // is pinned here, at dequeue time on this single-threaded service loop, so
@@ -836,22 +853,21 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
   // the worker received this pass's kStartPass (any pass message, or a
   // heartbeat pong whose watermark covers the pass); until then the master
   // retransmits kStartPass with exponential backoff.
-  std::map<int, bool> done;
-  std::map<int, bool> started;
-  std::map<int, double> last_heard;
-  std::map<int, double> next_ping;
-  std::map<int, double> next_retry;
-  std::map<int, double> retry_delay;
-  std::map<int, int> retries;
+  struct RankSupervision {
+    bool done = false;
+    bool started = false;
+    double last_heard = 0.0;
+    double next_ping = 0.0;
+    double next_retry = 0.0;
+    double retry_delay = 0.0;
+    int retries = 0;
+  };
+  std::map<int, RankSupervision> ranks;
   Stopwatch clock;
   for (int w : live_ranks_) {
-    done[w] = false;
-    started[w] = false;
-    last_heard[w] = 0.0;
-    next_ping[w] = sup.heartbeat_interval_seconds;
-    next_retry[w] = sup.retry_initial_seconds;
-    retry_delay[w] = sup.retry_initial_seconds;
-    retries[w] = 0;
+    ranks[w] = RankSupervision{.next_ping = sup.heartbeat_interval_seconds,
+                               .next_retry = sup.retry_initial_seconds,
+                               .retry_delay = sup.retry_initial_seconds};
   }
   // Barrier bookkeeping per step tag: which live ranks arrived, and whether
   // the release went out. A worker whose arrival (or release) was lost
@@ -914,7 +930,8 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
       msg = fabric_->RecvWithTimeout(kMasterRank, poll);
       const double now = clock.ElapsedSeconds();
       for (int w : live_ranks_) {
-        if (done[w]) {
+        RankSupervision& rs = ranks[w];
+        if (rs.done) {
           continue;
         }
         // A rank that was just sent bulk state (scatter, replica snapshot,
@@ -925,27 +942,21 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
         if (state_transfer_pending_.count(w) != 0) {
           deadline += sup.state_transfer_grace_seconds;
         }
-        if (now - last_heard[w] > deadline) {
+        if (now - rs.last_heard > deadline) {
           return abort_pass(w);
         }
-        if (!started[w] && now >= next_retry[w]) {
-          if (retries[w] >= sup.max_retries) {
+        if (!rs.started && now >= rs.next_retry) {
+          if (rs.retries >= sup.max_retries) {
             return abort_pass(w);
           }
-          ++retries[w];
+          ++rs.retries;
           ++runtime_metrics_.retransmits;
           fr::Record(fr::EventKind::kRetransmit, w, pass);
-          Message m;
-          m.from = kMasterRank;
-          m.to = w;
-          m.kind = MsgKind::kControl;
-          m.payload =
-              StartPass{cl.loop_id, pass, pass_spec_depth_}.Encode();
-          fabric_->SendReliable(std::move(m));
-          retry_delay[w] *= sup.retry_backoff_factor;
-          next_retry[w] = now + retry_delay[w];
+          fabric_->SendReliable(StartPassMessage(w, cl.loop_id, pass, pass_spec_depth_));
+          rs.retry_delay *= sup.retry_backoff_factor;
+          rs.next_retry = now + rs.retry_delay;
         }
-        if (now >= next_ping[w]) {
+        if (now >= rs.next_ping) {
           ++runtime_metrics_.heartbeats_sent;
           Message m;
           m.from = kMasterRank;
@@ -953,7 +964,7 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
           m.kind = MsgKind::kControl;
           m.payload = Heartbeat{/*is_reply=*/false, ++hb_seq}.Encode();
           fabric_->SendReliable(std::move(m));
-          next_ping[w] = now + sup.heartbeat_interval_seconds;
+          rs.next_ping = now + sup.heartbeat_interval_seconds;
         }
       }
       if (!msg.has_value()) {
@@ -967,12 +978,13 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
     if (!IsLive(msg->from)) {
       continue;  // zombie traffic from a retired rank
     }
-    last_heard[msg->from] = clock.ElapsedSeconds();
+    RankSupervision& sender = ranks[msg->from];
+    sender.last_heard = clock.ElapsedSeconds();
     state_transfer_pending_.erase(msg->from);  // it spoke: installs are done
 
     switch (msg->kind) {
       case MsgKind::kParamRequest: {
-        started[msg->from] = true;
+        sender.started = true;
         ParamRequest req = TakeParamRequest(*msg);
         if (async_serving) {
           ArrayHost& h = Host(req.array);
@@ -990,7 +1002,7 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
         break;
       }
       case MsgKind::kParamUpdate: {
-        started[msg->from] = true;
+        sender.started = true;
         PartData pd = TakePart(*msg);
         if (pass_spec_depth_ > 0 && pd.mode == PartDataMode::kOverwrite) {
           // Record what this step's flush overwrites before the update is
@@ -1017,7 +1029,7 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
       case MsgKind::kPartitionData: {
         // Wavefront loops: the last worker in the ring returns rotated
         // partitions to the master.
-        started[msg->from] = true;
+        sender.started = true;
         PartData pd = TakePart(*msg);
         ArrayHost& h = Host(pd.array);
         pd.cells.ForEachConstFast([&](i64 key, const f32* v) {
@@ -1042,11 +1054,11 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
         if (b.pass != pass || b.release) {
           break;  // stale arrival from an earlier attempt
         }
-        started[msg->from] = true;
+        sender.started = true;
         auto& arrived = barrier_arrived[msg->tag];
         bool& released = barrier_released[msg->tag];
         if (arrived.insert(msg->from).second) {
-          barrier_arrival_times[msg->tag].emplace_back(msg->from, last_heard[msg->from]);
+          barrier_arrival_times[msg->tag].emplace_back(msg->from, sender.last_heard);
           rank_live_[static_cast<size_t>(msg->from)]->step.store(
               static_cast<i64>(msg->tag), std::memory_order_relaxed);
         }
@@ -1071,29 +1083,20 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
           if (hb.is_reply) {
             // Pong watermarks feed the monitor's per-rank liveness gauges.
             RankLive& rl = *rank_live_[static_cast<size_t>(msg->from)];
-            if (hb.last_started_pass > rl.started.load(std::memory_order_relaxed)) {
-              rl.started.store(hb.last_started_pass, std::memory_order_relaxed);
-            }
-            if (hb.last_completed_pass > rl.completed.load(std::memory_order_relaxed)) {
-              rl.completed.store(hb.last_completed_pass, std::memory_order_relaxed);
-            }
+            RaiseWatermark(&rl.started, hb.last_started_pass);
+            RaiseWatermark(&rl.completed, hb.last_completed_pass);
           }
           if (hb.is_reply && hb.last_started_pass >= pass) {
-            started[msg->from] = true;
+            sender.started = true;
           }
-          if (hb.is_reply && hb.last_completed_pass >= pass && !done[msg->from]) {
+          if (hb.is_reply && hb.last_completed_pass >= pass && !sender.done) {
             // The worker finished the pass but its kPassDone was lost in
             // flight; a retransmitted kStartPass makes it resend the cached
             // report.
             ++runtime_metrics_.retransmits;
             fr::Record(fr::EventKind::kRetransmit, msg->from, pass);
-            Message m;
-            m.from = kMasterRank;
-            m.to = msg->from;
-            m.kind = MsgKind::kControl;
-            m.payload =
-                StartPass{cl.loop_id, pass, pass_spec_depth_}.Encode();
-            fabric_->SendReliable(std::move(m));
+            fabric_->SendReliable(
+                StartPassMessage(msg->from, cl.loop_id, pass, pass_spec_depth_));
           }
           break;
         }
@@ -1101,11 +1104,11 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
           break;  // stray control traffic (e.g. a late retire ack)
         }
         PassDone report = PassDone::Decode(msg->payload);
-        if (report.pass != pass || done[msg->from]) {
+        if (report.pass != pass || sender.done) {
           break;  // duplicate or stale PassDone
         }
         worker_accum[msg->from] = std::move(report.accumulators);
-        // Piggybacked tracer spans. The done[] dedupe above already ran, so
+        // Piggybacked tracer spans. The `done` dedupe above already ran, so
         // an injector-duplicated PassDone never appends twice.
         cluster_trace_.insert(cluster_trace_.end(),
                               std::make_move_iterator(report.spans.begin()),
@@ -1115,18 +1118,14 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
         if (slot < last_metrics_.worker_reply_wait.size()) {
           last_metrics_.worker_reply_wait[slot] = report.metrics.reply_wait;
         }
-        started[msg->from] = true;
-        done[msg->from] = true;
+        sender.started = true;
+        sender.done = true;
         ++num_done;
         pass_compute.emplace_back(msg->from, report.metrics.compute_seconds);
         {
           RankLive& rl = *rank_live_[static_cast<size_t>(msg->from)];
-          if (pass > rl.started.load(std::memory_order_relaxed)) {
-            rl.started.store(pass, std::memory_order_relaxed);
-          }
-          if (pass > rl.completed.load(std::memory_order_relaxed)) {
-            rl.completed.store(pass, std::memory_order_relaxed);
-          }
+          RaiseWatermark(&rl.started, pass);
+          RaiseWatermark(&rl.completed, pass);
         }
         break;
       }
@@ -1146,17 +1145,6 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
     last_metrics_.param_serve_seconds += param_server_->serve_seconds();
     last_metrics_.param_shard_queue_depth_max = param_server_->max_queue_depth();
     last_metrics_.spec_requests_served += param_server_->speculative_served();
-    last_metrics_.stripes = param_server_->StripeStatsSnapshot();
-    const std::vector<StripeMetrics>& stripes = last_metrics_.stripes;
-    if (stripe_totals_.size() < stripes.size()) {
-      stripe_totals_.resize(stripes.size());
-    }
-    for (size_t i = 0; i < stripes.size(); ++i) {
-      stripe_totals_[i].gather_ns += stripes[i].gather_ns;
-      stripe_totals_[i].tasks += stripes[i].tasks;
-      stripe_totals_[i].queue_depth_max =
-          std::max(stripe_totals_[i].queue_depth_max, stripes[i].queue_depth_max);
-    }
   }
 
   // Pass-end application of the deferred server updates, in logical-rank
@@ -1620,20 +1608,6 @@ Status Driver::DumpTrace(const std::string& path) {
 std::string Driver::CriticalPathReport() {
   std::string out =
       trace::FormatCriticalPathTable(trace::AnalyzeCriticalPath(CollectTrace()));
-  if (!stripe_totals_.empty()) {
-    // Stripe heatmap, cumulative over all async passes: copy time and task
-    // count per gather stripe.
-    out += "param stripes (cumulative):";
-    for (size_t i = 0; i < stripe_totals_.size(); ++i) {
-      const auto& s = stripe_totals_[i];
-      char buf[96];
-      std::snprintf(buf, sizeof buf, " [%zu] gather=%.3fms tasks=%llu", i,
-                    static_cast<double>(s.gather_ns) / 1e6,
-                    static_cast<unsigned long long>(s.tasks));
-      out += buf;
-    }
-    out += "\n";
-  }
   out += straggler_.Verdict();
   out += "\n";
   return out;
@@ -1710,9 +1684,6 @@ void Driver::RegisterMonitorProbes() {
     ParamServer* ps = param_server_.get();
     monitor_->RegisterProbe("param.in_flight",
                             [ps] { return static_cast<double>(ps->in_flight()); });
-    monitor_->RegisterProbe("param.stripe_inflight_max", [ps] {
-      return static_cast<double>(ps->stripe_inflight_max());
-    });
     monitor_->RegisterProbe("param.reply_queue", [ps] {
       return static_cast<double>(ps->reply_queue_depth());
     });
@@ -1865,13 +1836,6 @@ MetricsRegistry Driver::ExportMetrics() const {
   const LoopMetrics& lm = last_metrics_;
   lm.ExportTo(&reg);
   reg.SetGauge("spec.enabled", lm.spec_depth_effective > 0 ? 1.0 : 0.0);
-  for (size_t i = 0; i < lm.stripes.size(); ++i) {
-    const auto& s = lm.stripes[i];
-    const std::string p = "param.stripe." + std::to_string(i);
-    reg.SetCounter(p + ".gather_ns", s.gather_ns);
-    reg.SetCounter(p + ".tasks", s.tasks);
-    reg.SetCounter(p + ".queue_depth_max", static_cast<u64>(s.queue_depth_max));
-  }
   WaitHistogram& reply_wait = reg.Histogram("pass.reply_wait");
   for (const WaitHistogram& h : lm.worker_reply_wait) {
     reply_wait.Merge(h);
@@ -2138,12 +2102,7 @@ Driver::PassOutcome Driver::RunPassOnce(i32 loop_id) {
   {
     ORION_TRACE_SPAN(kDriver, "start_pass");
     for (int w : live_ranks_) {
-      Message m;
-      m.from = kMasterRank;
-      m.to = w;
-      m.kind = MsgKind::kControl;
-      m.payload = StartPass{loop_id, pass, pass_spec_depth_}.Encode();
-      fabric_->Send(std::move(m));
+      fabric_->Send(StartPassMessage(w, loop_id, pass, pass_spec_depth_));
     }
   }
   const PassOutcome out = ServicePassMessages(cl, pass);

@@ -64,18 +64,17 @@ struct DriverConfig {
   // Heartbeat / retry / death-timeout parameters. Supervision can also be
   // enabled without a fault plan to harden against real failures.
   SupervisorConfig supervisor{};
-  // Sharded asynchronous parameter serving from versioned copy-on-write
-  // snapshots: the service loop pins a snapshot of the master at
-  // request-dequeue time (a refcount bump), a stripe-sharded thread pool
-  // gathers from it with no lock held, and replies ship through per-worker
-  // comm lanes instead of blocking the master service loop. Writers clone
-  // only the pages they touch. A worker's own round-r flushes are dequeued
-  // (and applied) before its round-r+1 request on the same FIFO link, so the
-  // pinned snapshot preserves read-own-writes freshness exactly like the
-  // inline path: bit-for-bit identical to inline serving (false), which
-  // stays as the test oracle and bench baseline.
+  // Asynchronous parameter serving from versioned copy-on-write snapshots:
+  // the service loop pins a snapshot of the master at request-dequeue time
+  // (a refcount bump), a thread pool gathers each request whole from it with
+  // no lock held, and replies ship through per-worker comm lanes instead of
+  // blocking the master service loop. Writers clone only the pages they
+  // touch. A worker's own round-r flushes are dequeued (and applied) before
+  // its round-r+1 request on the same FIFO link, so the pinned snapshot
+  // preserves read-own-writes freshness exactly like the inline path:
+  // bit-for-bit identical to inline serving (false), which stays as the test
+  // oracle and bench baseline.
   bool async_param_serving = true;
-  int param_server_shards = 4;
 };
 
 class Driver {
@@ -433,10 +432,8 @@ class Driver {
   // supervision resends carry the same batch, which must merge exactly once.
   std::map<int, u32> worker_span_seq_;
 
-  // Per-pass metric series (flattened into ExportMetrics' "series" section)
-  // and driver-lifetime stripe totals for CriticalPathReport.
+  // Per-pass metric series (flattened into ExportMetrics' "series" section).
   std::map<std::string, std::vector<double>> metrics_series_;
-  std::vector<StripeMetrics> stripe_totals_;
 
   // ---- Serving tier (StartServingTier) ----
 

@@ -34,13 +34,6 @@ void ExportMetric(MetricsRegistry* reg, MetricKind kind, const char* name, T val
   }
 }
 
-// One ParamServer gather stripe over one pass (the stripe heatmap).
-struct StripeMetrics {
-  u64 gather_ns = 0;        // cell-copy time inside gather tasks
-  u64 tasks = 0;            // gather tasks routed to this stripe
-  int queue_depth_max = 0;  // peak concurrent gather tasks on this stripe
-};
-
 // The per-pass loop metrics. Each entry is one of
 //
 //   M(type, field, "registry.name", kind, flags)
@@ -72,8 +65,8 @@ struct StripeMetrics {
   /* Depth-k prefetch ring: the deepest any worker's ring actually got. */                 \
   W(int, prefetch_ring_depth_used, "pass.prefetch_ring_depth_used", kCounter,              \
     kResetPerPass, kMax, i32, ring_depth_used)                                             \
-  /* Sharded async parameter serving: CPU time spent gathering and */                      \
-  /* assembling replies, and the peak number of requests in flight. */                     \
+  /* Async parameter serving: CPU time spent gathering replies, and the */                 \
+  /* peak number of requests in flight. */                                                 \
   M(double, param_serve_seconds, "pass.param_serve_seconds", kGauge,                       \
     kResetPerPass | kSeries)                                                               \
   M(int, param_shard_queue_depth_max, "pass.param_shard_queue_depth_max", kCounter,        \
@@ -141,11 +134,8 @@ struct LoopMetrics {
 #undef ORION_FIELD
   // Per-worker reply-wait histograms, indexed by logical rank.
   std::vector<WaitHistogram> worker_reply_wait;
-  // Per-stripe heatmap, indexed by stripe. Empty when the pass had no
-  // sharded serving.
-  std::vector<StripeMetrics> stripes;
 
-  // Zeroes the kResetPerPass entries and the stripe heatmap.
+  // Zeroes the kResetPerPass entries.
   void ResetPass() {
 #define ORION_RESET(type, field, name, kind, flags, ...) \
   if (((flags) & kResetPerPass) != 0) {                  \
@@ -153,7 +143,6 @@ struct LoopMetrics {
   }
     ORION_FOREACH_LOOP_METRIC(ORION_RESET, ORION_RESET)
 #undef ORION_RESET
-    stripes.clear();
   }
 
   // Folds one worker's report into the W entries.

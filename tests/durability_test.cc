@@ -399,7 +399,6 @@ class Workload {
     cfg.num_workers = opt.workers;
     cfg.seed = opt.seed;
     cfg.async_param_serving = true;
-    cfg.param_server_shards = 4;
     cfg.fault_plan = opt.fault_plan;
     if (cfg.fault_plan.Active()) {
       cfg.supervisor.enabled = true;

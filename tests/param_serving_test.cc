@@ -1,7 +1,7 @@
-// Sharded async parameter serving + depth-k prefetch ring: every
-// configuration (ring depth k, shard count S, fault injection, per-key vs
-// bulk request shape) must be *bit-for-bit* identical to fully synchronous
-// inline serving — same reply bytes, same apply order, same f64 folds.
+// Async parameter serving + depth-k prefetch ring: every configuration
+// (ring depth k, fault injection, per-key vs bulk request shape) must be
+// *bit-for-bit* identical to fully synchronous inline serving — same reply
+// bytes, same apply order, same f64 folds.
 // Also covers the coalesced kPerKey metering identity: one wire message
 // carrying K keys must charge the fabric exactly like K single-key messages.
 #include <gtest/gtest.h>
@@ -9,11 +9,14 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <tuple>
 #include <vector>
 
 #include "src/apps/lda.h"
 #include "src/common/rng.h"
+#include "src/dsm/versioned_store.h"
+#include "src/net/fabric.h"
 #include "src/net/fault_injector.h"
 #include "src/runtime/driver.h"
 #include "src/runtime/param_server.h"
@@ -52,7 +55,7 @@ std::map<i64, std::vector<f32>> Snapshot(Driver* d, DistArrayId id) {
 
 // ---------------------------------------------------------------------------
 // Rotation schedule + server-hosted table (non-aligned i+j subscript): the
-// scenario where both the prefetch ring and the sharded server are hot.
+// scenario where both the prefetch ring and the async server are hot.
 
 struct RotationResult {
   std::map<i64, std::vector<f32>> out_r;
@@ -67,7 +70,6 @@ struct RotationOptions {
   bool overlap = true;
   int prefetch_depth = 2;
   bool async_serving = true;
-  int shards = 4;
   PrefetchMode prefetch = PrefetchMode::kCached;
   FaultPlan fault_plan;
 };
@@ -85,7 +87,6 @@ RotationResult RunRotationServer(const RotationOptions& opt) {
   cfg.net.latency_us = 200.0;
   cfg.net.bandwidth_bps = 1e9;
   cfg.async_param_serving = opt.async_serving;
-  cfg.param_server_shards = opt.shards;
   cfg.fault_plan = opt.fault_plan;
   if (cfg.fault_plan.Active()) {
     cfg.supervisor.enabled = true;
@@ -188,7 +189,7 @@ TEST(ParamServing, RotationDepthSweepBitForBit) {
       // Warm kCached key lists let the ring actually fill past 1.
       EXPECT_GE(got.last.prefetch_ring_depth_used, 2) << "depth " << depth;
     }
-    // The sharded path ran and reported its work.
+    // The async path ran and reported its work.
     EXPECT_GT(got.last.param_shard_queue_depth_max, 0);
     EXPECT_EQ(got.last.worker_reply_wait.size(), 4u);
     u64 awaits = 0;
@@ -199,21 +200,6 @@ TEST(ParamServing, RotationDepthSweepBitForBit) {
   }
 }
 
-TEST(ParamServing, ShardCountDoesNotChangeResults) {
-  RotationOptions one;
-  one.shards = 1;
-  RotationOptions four;
-  four.shards = 4;
-  const RotationResult s1 = RunRotationServer(one);
-  const RotationResult s4 = RunRotationServer(four);
-  EXPECT_TRUE(SameResult(s1, s4));
-
-  RotationOptions sync;
-  sync.overlap = false;
-  sync.async_serving = false;
-  EXPECT_TRUE(SameResult(RunRotationServer(sync), s4));
-}
-
 TEST(ParamServing, ChaosWhileShardedServingActive) {
   RotationOptions clean;
   clean.overlap = false;
@@ -222,7 +208,6 @@ TEST(ParamServing, ChaosWhileShardedServingActive) {
 
   RotationOptions chaos;
   chaos.prefetch_depth = 2;
-  chaos.shards = 4;
   chaos.fault_plan.seed = 17;
   chaos.fault_plan.drop_prob = 0.05;
   chaos.fault_plan.dup_prob = 0.05;
@@ -232,7 +217,7 @@ TEST(ParamServing, ChaosWhileShardedServingActive) {
   EXPECT_FALSE(a.fault_events.empty());
 
   // Decision events are a pure function of the plan seed: async replies and
-  // shard threads must not perturb the injected sequence. Releases are
+  // server pool threads must not perturb the injected sequence. Releases are
   // timing-dependent, so compare decisions only, canonically ordered.
   auto canonical = [](std::vector<FaultEvent> events) {
     events.erase(std::remove_if(events.begin(), events.end(),
@@ -417,8 +402,9 @@ TEST(PerKeyMetering, ParamRequestEncodedSizeMatchesEncode) {
   EXPECT_EQ(decoded.keys, perkey.keys);
 }
 
-// BuildParamReply assembles hits in request-key order; the sharded path must
-// reproduce those bytes exactly, so the shared helper is the ground truth.
+// BuildParamReply assembles hits in request-key order. It is the one reply
+// builder of both serving paths; ParamServerReply below checks that the async
+// path feeds it the same bytes.
 TEST(PerKeyMetering, BuildParamReplyPreservesKeyOrder) {
   constexpr i32 kDim = 2;
   CellStore master(kDim, CellStore::Layout::kHashed, 0);
@@ -431,6 +417,92 @@ TEST(PerKeyMetering, BuildParamReplyPreservesKeyOrder) {
   Message reply = BuildParamReply(req, master, kDim, /*zero_copy=*/false);
   PartData pd = TakePart(reply);
   EXPECT_EQ(pd.cells.keys(), (std::vector<i64>{9, 1, 5}));  // request order, misses skipped
+}
+
+// A reply gathered on a ParamServer pool thread from a pinned snapshot must
+// match, byte for byte and in insertion order, what BuildParamReply builds
+// from the flat store the inline path would have read at pin time — while the
+// writer keeps cloning pages and the hashed index after each pin.
+TEST(ParamServerReply, MatchesBuildParamReplyOnFlatStore) {
+  constexpr i32 kDim = 3;
+  constexpr DistArrayId kArray = 7;
+  constexpr WorkerId kWorker = 1;
+  ParamRequest per_key{kArray, 5, {44, 45, 44, 601}};
+  per_key.per_key = true;
+  // Even keys below 600 hit from the start; odd keys miss until the writer
+  // inserts 601, 603, ... one per request.
+  const std::vector<ParamRequest> requests = {
+      {kArray, 1, {10, 3, 10, 598, 7, 0, 10}},  // duplicates and misses
+      {kArray, 2, {}},                          // no keys at all
+      {kArray, 3, {1, 5, 9}},                   // misses only
+      {kArray, 4, {42, 601, 42, 603, 605, 2, 4, 6, 8, 44}},
+      per_key,
+  };
+
+  for (bool zero_copy : {false, true}) {
+    Fabric fabric(/*num_workers=*/2);
+    fabric.SetZeroCopy(zero_copy);
+    // `oracle` is the flat store the inline path reads; `store` receives the
+    // same writes through the copy-on-write writer path.
+    CellStore oracle(kDim, CellStore::Layout::kHashed, 0);
+    VersionedCellStore store(CellStore(kDim, CellStore::Layout::kHashed, 0));
+    auto write = [&](i64 key, f32 base) {
+      f32* o = oracle.GetOrCreate(key);
+      f32* v = store.GetOrCreate(key);
+      for (i32 d = 0; d < kDim; ++d) {
+        o[d] = v[d] = base + static_cast<f32>(d);
+      }
+    };
+    for (i64 key = 0; key < 600; key += 2) {
+      write(key, 0.5f * static_cast<f32>(key));
+    }
+    store.BeginServing();
+
+    std::vector<Message> expected;
+    {
+      ParamServer server(&fabric, /*num_workers=*/2);
+      for (size_t i = 0; i < requests.size(); ++i) {
+        expected.push_back(BuildParamReply(requests[i], oracle, kDim, zero_copy));
+        server.HandleRequestSnapshot(requests[i], kWorker, store.Pin(), kDim);
+        // The gather may still be running: overwrites clone pinned pages and
+        // the insert clones the pinned hashed index.
+        const f32 base = 1000.0f * static_cast<f32>(i + 1);
+        for (i64 key : {10, 42, 44}) {
+          write(key, base);
+        }
+        write(601 + 2 * static_cast<i64>(i), base);
+      }
+      server.Quiesce();
+      EXPECT_EQ(store.live_pins(), 0) << "zero_copy=" << zero_copy;
+    }
+    EXPECT_GT(store.stats().pages_cloned, 0u);
+
+    // Pool threads finish in any order; a reply is matched by its step tag.
+    std::map<u32, Message> received;
+    while (std::optional<Message> m = fabric.TryRecv(kWorker)) {
+      received[m->tag] = std::move(*m);
+    }
+    ASSERT_EQ(received.size(), expected.size());
+    for (Message& want : expected) {
+      SCOPED_TRACE(::testing::Message() << "zero_copy=" << zero_copy << " step " << want.tag);
+      auto got = received.find(want.tag);
+      ASSERT_NE(got, received.end());
+      Message& reply = got->second;
+      EXPECT_EQ(reply.from, kMasterRank);
+      EXPECT_EQ(reply.to, kWorker);
+      EXPECT_EQ(reply.kind, MsgKind::kParamReply);
+      EXPECT_EQ(reply.meter_messages, want.meter_messages);
+      EXPECT_EQ(reply.meter_extra_bytes, want.meter_extra_bytes);
+      EXPECT_EQ(reply.WireSize(), want.WireSize());
+      EXPECT_EQ(reply.zc != nullptr, zero_copy);
+      const PartData got_pd = TakePart(reply);
+      const PartData want_pd = TakePart(want);
+      EXPECT_EQ(got_pd.array, kArray);
+      EXPECT_EQ(got_pd.part, want_pd.part);
+      EXPECT_EQ(got_pd.cells.keys(), want_pd.cells.keys());
+      EXPECT_EQ(got_pd.Encode(), want_pd.Encode());
+    }
+  }
 }
 
 }  // namespace

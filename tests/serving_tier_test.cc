@@ -240,7 +240,6 @@ Wavefront MakeWavefront(FaultPlan fault_plan = {}) {
   DriverConfig cfg;
   cfg.num_workers = 4;
   cfg.seed = 21;
-  cfg.param_server_shards = 4;
   cfg.fault_plan = fault_plan;
   if (cfg.fault_plan.Active()) {
     cfg.supervisor.enabled = true;
@@ -502,7 +501,6 @@ ServerWorkload MakeServerWorkload(FaultPlan fault_plan = {}) {
   DriverConfig cfg;
   cfg.num_workers = 4;
   cfg.seed = 5;
-  cfg.param_server_shards = 4;
   cfg.fault_plan = fault_plan;
   if (cfg.fault_plan.Active()) {
     cfg.supervisor.enabled = true;

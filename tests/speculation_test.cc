@@ -3,8 +3,8 @@
 // against the master's current state, then validated at the barrier against
 // the dirty-range summaries of the kOverwrite writes the intervening steps
 // flushed, re-fetching only conflicting keys. Everything here checks the
-// acceptance bar: bit-for-bit identity with the synchronous fetch — across
-// shard counts, under forced conflicts, and under message-fault chaos — and
+// acceptance bar: bit-for-bit identity with the synchronous fetch — on a
+// read-only table, under forced conflicts, and under message-fault chaos — and
 // the controller's sticky fallback to synchronous under high conflict.
 #include <gtest/gtest.h>
 
@@ -59,15 +59,13 @@ struct TableResult {
   u64 spec_requests_served = 0;
 };
 
-TableResult RunWavefrontTable(bool speculate, int shards, int passes,
-                              FaultPlan fault_plan = {}) {
+TableResult RunWavefrontTable(bool speculate, int passes, FaultPlan fault_plan = {}) {
   constexpr i64 kRows = 8;
   constexpr i64 kCols = 8;
 
   DriverConfig cfg;
   cfg.num_workers = 4;
   cfg.seed = 21;
-  cfg.param_server_shards = shards;
   cfg.fault_plan = fault_plan;
   auto driver = std::make_unique<Driver>(cfg);
   auto data = driver->CreateDistArray("data", {kRows, kCols}, 1, Density::kSparse);
@@ -125,22 +123,17 @@ TableResult RunWavefrontTable(bool speculate, int shards, int passes,
 }
 
 TEST(Speculation, WavefrontBitForBitAcrossShardCounts) {
-  const TableResult sync1 = RunWavefrontTable(/*speculate=*/false, /*shards=*/1, 3);
-  for (int shards : {1, 4}) {
-    const TableResult off = RunWavefrontTable(false, shards, 3);
-    const TableResult on = RunWavefrontTable(true, shards, 3);
-    EXPECT_TRUE(BitIdentical(sync1.out_r, off.out_r)) << "shards=" << shards;
-    EXPECT_TRUE(BitIdentical(sync1.out_c, off.out_c)) << "shards=" << shards;
-    EXPECT_TRUE(BitIdentical(sync1.out_r, on.out_r)) << "shards=" << shards;
-    EXPECT_TRUE(BitIdentical(sync1.out_c, on.out_c)) << "shards=" << shards;
-    // Speculation really ran (kCached keys warm after pass 1) and — the
-    // table being read-only — never hit a conflict.
-    EXPECT_GT(on.last.spec_issued, 0u) << "shards=" << shards;
-    EXPECT_EQ(on.last.spec_conflicts, 0u) << "shards=" << shards;
-    EXPECT_GT(on.spec_requests_served, 0u) << "shards=" << shards;
-    EXPECT_EQ(off.last.spec_issued, 0u) << "shards=" << shards;
-    EXPECT_EQ(off.last.spec_depth_effective, 0) << "shards=" << shards;
-  }
+  const TableResult off = RunWavefrontTable(/*speculate=*/false, 3);
+  const TableResult on = RunWavefrontTable(/*speculate=*/true, 3);
+  EXPECT_TRUE(BitIdentical(off.out_r, on.out_r));
+  EXPECT_TRUE(BitIdentical(off.out_c, on.out_c));
+  // Speculation really ran (kCached keys warm after pass 1) and — the
+  // table being read-only — never hit a conflict.
+  EXPECT_GT(on.last.spec_issued, 0u);
+  EXPECT_EQ(on.last.spec_conflicts, 0u);
+  EXPECT_GT(on.spec_requests_served, 0u);
+  EXPECT_EQ(off.last.spec_issued, 0u);
+  EXPECT_EQ(off.last.spec_depth_effective, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -295,14 +288,14 @@ TEST(Speculation, ControllerDisablesUnderHighConflict) {
 // result stays bitwise equal to the fault-free synchronous run.
 
 TEST(Speculation, ChaosDropDupDelayStaysBitForBit) {
-  const TableResult ref = RunWavefrontTable(/*speculate=*/false, /*shards=*/4, 3);
+  const TableResult ref = RunWavefrontTable(/*speculate=*/false, 3);
 
   FaultPlan chaos;
   chaos.seed = 13;
   chaos.drop_prob = 0.05;
   chaos.dup_prob = 0.05;
   chaos.delay_prob = 0.05;
-  const TableResult got = RunWavefrontTable(/*speculate=*/true, /*shards=*/4, 3, chaos);
+  const TableResult got = RunWavefrontTable(/*speculate=*/true, 3, chaos);
 
   EXPECT_TRUE(BitIdentical(ref.out_r, got.out_r));
   EXPECT_TRUE(BitIdentical(ref.out_c, got.out_c));

@@ -1,7 +1,7 @@
 // Span tracer: ring mechanics (wraparound, cross-thread merge, nesting,
 // serialization), export format, critical-path attribution, and — most
 // important — neutrality: enabling tracing must not change a single bit of
-// any training result, across prefetch depths, shard counts and fault
+// any training result, across prefetch depths and under fault
 // injection. Trace bytes ride PassDone, so this also exercises the
 // payload-size independence of the fault injector's decisions.
 #include <gtest/gtest.h>
@@ -169,7 +169,7 @@ TEST(Tracer, SerializationRoundTrips) {
   s.rank = 2;
   s.tid = 11;
   s.category = static_cast<u16>(trace::Category::kParamServer);
-  s.name = "shard_gather";
+  s.name = "gather";
   in.push_back(s);
   s.name = "quoted \"name\" with\\slash";
   s.rank = kMasterRank;
@@ -239,7 +239,7 @@ TEST(Tracer, CriticalPathAttributesKnownSpans) {
   spans.push_back(mk(trace::Category::kExecutor, "pass", 1 * ms, 5 * ms, 1, 0));
   spans.push_back(mk(trace::Category::kExecutor, "compute", 1 * ms, 5 * ms, 1, 0));
   // Server work overlaps worker time; informational only.
-  spans.push_back(mk(trace::Category::kParamServer, "shard_gather", 2 * ms, 3 * ms,
+  spans.push_back(mk(trace::Category::kParamServer, "gather", 2 * ms, 3 * ms,
                      kMasterRank, -1));
 
   std::vector<trace::PassBreakdown> passes = trace::AnalyzeCriticalPath(spans);
@@ -274,7 +274,6 @@ struct RotationResult {
 struct RotationOptions {
   int prefetch_depth = 2;
   bool async_serving = true;
-  int shards = 4;
   bool overlap = true;
   FaultPlan fault_plan;
 };
@@ -334,7 +333,6 @@ RotationResult RunRotationServer(const RotationOptions& opt,
   cfg.net.latency_us = 200.0;
   cfg.net.bandwidth_bps = 1e9;
   cfg.async_param_serving = opt.async_serving;
-  cfg.param_server_shards = opt.shards;
   cfg.fault_plan = opt.fault_plan;
   if (cfg.fault_plan.Active()) {
     cfg.supervisor.enabled = true;
@@ -420,23 +418,18 @@ TEST(TracerNeutrality, DepthAndShardMatrixBitForBit) {
   const RotationResult ref = RunRotationServer(sync);
 
   for (int depth : {1, 2, 4}) {
-    for (int shards : {1, 4}) {
-      RotationOptions o;
-      o.prefetch_depth = depth;
-      o.shards = shards;
-      const RotationResult untraced = RunRotationServer(o);
-      const RotationResult traced = RunTraced(o);
-      EXPECT_TRUE(SameResult(ref, untraced)) << "depth " << depth << " shards " << shards;
-      EXPECT_TRUE(SameResult(untraced, traced))
-          << "tracing changed results at depth " << depth << " shards " << shards;
-    }
+    RotationOptions o;
+    o.prefetch_depth = depth;
+    const RotationResult untraced = RunRotationServer(o);
+    const RotationResult traced = RunTraced(o);
+    EXPECT_TRUE(SameResult(ref, untraced)) << "depth " << depth;
+    EXPECT_TRUE(SameResult(untraced, traced)) << "tracing changed results at depth " << depth;
   }
 }
 
 TEST(TracerNeutrality, ChaosRunBitForBit) {
   RotationOptions chaos;
   chaos.prefetch_depth = 2;
-  chaos.shards = 4;
   chaos.fault_plan.seed = 17;
   chaos.fault_plan.drop_prob = 0.05;
   chaos.fault_plan.dup_prob = 0.05;
@@ -456,7 +449,6 @@ TEST(TracerAcceptance, TracedRunExportsClusterTimeline) {
 
   RotationOptions o;
   o.prefetch_depth = 2;
-  o.shards = 4;
   RunTraced(o, [&](Driver& driver) {
     ASSERT_TRUE(driver.DumpTrace(path).ok());
     collected = driver.CollectTrace();

@@ -1,7 +1,7 @@
 // Versioned copy-on-write parameter store: snapshot serving must be
 // bit-for-bit identical to synchronous inline serving (and to the serial
 // recurrence) in every configuration (1D chunked rounds, wavefront
-// overwrites, stripe counts, fault injection, crash recovery), while gather
+// overwrites, fault injection, crash recovery), while gather
 // tasks copy from pinned snapshots with no lock held.
 //
 // Unit layer: the publish -> pin -> clone-on-write -> retire lifecycle of
@@ -208,7 +208,6 @@ std::map<i64, std::vector<f32>> Snapshot(Driver* d, DistArrayId id) {
 
 struct OneDOptions {
   bool async = true;  // false: the inline-serving oracle
-  int shards = 4;
   int rounds = 2;
   int workers = 4;
   int passes = 3;
@@ -233,7 +232,6 @@ OneDResult RunOneD(const OneDOptions& opt) {
   cfg.num_workers = opt.workers;
   cfg.seed = 19;
   cfg.async_param_serving = opt.async;
-  cfg.param_server_shards = opt.shards;
   cfg.fault_plan = opt.fault_plan;
   if (cfg.fault_plan.Active()) {
     cfg.supervisor.enabled = true;
@@ -303,31 +301,22 @@ OneDResult RunOneD(const OneDOptions& opt) {
   return res;
 }
 
-TEST(VersionedServing1D, AsyncMatchesInlineAcrossStripesAndRounds) {
+TEST(VersionedServing1D, AsyncMatchesInlineAcrossRounds) {
   OneDOptions inline_opt;
   inline_opt.async = false;
   const OneDResult ref = RunOneD(inline_opt);
   EXPECT_EQ(ref.last.versioned_snapshot_pins, 0u);
 
-  for (int shards : {1, 4}) {
-    for (int rounds : {1, 2, 4}) {
-      OneDOptions o;
-      o.shards = shards;
-      o.rounds = rounds;
-      const OneDResult got = RunOneD(o);
-      EXPECT_TRUE(BitIdentical(ref.table_w, got.table_w))
-          << "shards=" << shards << " rounds=" << rounds;
-      EXPECT_EQ(ref.accum, got.accum) << "shards=" << shards << " rounds=" << rounds;
-      // Snapshot serving actually ran: pins were taken and every stripe's
-      // gather tasks are accounted for.
-      EXPECT_GT(got.last.versioned_snapshot_pins, 0u);
-      ASSERT_EQ(got.last.stripes.size(), static_cast<size_t>(shards));
-      u64 tasks = 0;
-      for (const auto& s : got.last.stripes) {
-        tasks += s.tasks;
-      }
-      EXPECT_GT(tasks, 0u);
-    }
+  for (int rounds : {1, 2, 4}) {
+    OneDOptions o;
+    o.rounds = rounds;
+    const OneDResult got = RunOneD(o);
+    EXPECT_TRUE(BitIdentical(ref.table_w, got.table_w)) << "rounds=" << rounds;
+    EXPECT_EQ(ref.accum, got.accum) << "rounds=" << rounds;
+    // Snapshot serving actually ran: pins were taken and the ParamServer
+    // had requests in flight.
+    EXPECT_GT(got.last.versioned_snapshot_pins, 0u);
+    EXPECT_GT(got.last.param_shard_queue_depth_max, 0);
   }
 }
 
@@ -345,7 +334,6 @@ TEST(VersionedServing1D, ReadOwnWritesSingleWorker) {
     cfg.num_workers = 1;
     cfg.seed = 5;
     cfg.async_param_serving = async;
-    cfg.param_server_shards = 4;
     Driver driver(cfg);
 
     auto samples = driver.CreateDistArray("samples", {kSamples}, 2, Density::kDense);
@@ -400,14 +388,13 @@ struct RecurrenceRun {
   u64 pages_cloned = 0;
 };
 
-RecurrenceRun RunRecurrence(bool async, int shards) {
+RecurrenceRun RunRecurrence(bool async) {
   const i64 n = 14;
   const i64 m = 11;
 
   DriverConfig cfg;
   cfg.num_workers = 3;
   cfg.async_param_serving = async;
-  cfg.param_server_shards = shards;
   Driver driver(cfg);
   auto grid = driver.CreateDistArray("grid", {n, m}, 1, Density::kSparse);
   auto b = driver.CreateDistArray("B", {n, m}, 1, Density::kDense);
@@ -476,15 +463,13 @@ RecurrenceRun RunRecurrence(bool async, int shards) {
 }
 
 TEST(VersionedServing2D, WavefrontOverwritesVsConcurrentGathers) {
-  const RecurrenceRun ref = RunRecurrence(/*async=*/false, 4);
+  const RecurrenceRun ref = RunRecurrence(/*async=*/false);
   EXPECT_EQ(ref.serial, ref.c);
   EXPECT_EQ(ref.pages_cloned, 0u);
 
-  for (int shards : {1, 4}) {
-    const RecurrenceRun got = RunRecurrence(/*async=*/true, shards);
-    EXPECT_EQ(got.serial, got.c) << "shards=" << shards;
-    EXPECT_EQ(ref.c, got.c) << "shards=" << shards;
-  }
+  const RecurrenceRun got = RunRecurrence(/*async=*/true);
+  EXPECT_EQ(got.serial, got.c);
+  EXPECT_EQ(ref.c, got.c);
 }
 
 // ---------------------------------------------------------------------------
