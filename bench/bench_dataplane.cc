@@ -1,5 +1,5 @@
-// Data-plane raw-speed microbenchmarks: SIMD gather/apply/clone kernels,
-// pooled serialization, and the page-size sweep.
+// Data-plane raw-speed microbenchmarks: SIMD gather/apply/clone kernels and
+// pooled serialization.
 //
 //  - gather/apply: simd::CopyF32 / simd::AddF32 throughput at the forced
 //    scalar level vs the best runtime-dispatched level, over cell-shaped
@@ -7,8 +7,7 @@
 //    scalar reference is compiled with auto-vectorization off, so the ratio
 //    is kernel vs honest scalar loop, not kernel vs compiler output.
 //  - clone: VersionedCellStore pagination + copy-on-write page-clone
-//    throughput, and COW bytes per sparse write as the page size sweeps
-//    {64, 256, 1024} (the autotuner's trade-off, measured).
+//    throughput.
 //  - serialization: encode/consume/release loop over PartData-sized
 //    payloads; reports allocations-per-message and the pool hit rate
 //    (steady state must be ~0 fresh allocations per message).
@@ -102,45 +101,6 @@ double BenchClone(simd::Level level) {
                   sec);
 }
 
-// COW cost of a sparse writer at a given page size: bytes cloned per
-// written cell when every write lands under a live pin.
-struct CowPoint {
-  i64 page_cells = 0;
-  u64 cow_bytes = 0;
-  u64 pages_cloned = 0;
-  double bytes_per_write = 0.0;
-};
-
-CowPoint BenchCow(i64 page_cells) {
-  constexpr i64 kStoreCells = 40000;
-  constexpr i32 kDim = 8;
-  constexpr int kWrites = 256;
-  CellStore flat(kDim, CellStore::Layout::kFullDense, kStoreCells);
-  VersionedCellStore store(std::move(flat));
-  store.SetPageCells(page_cells);
-  store.BeginServing();
-  (void)store.TakeStats();
-  Rng rng(21);
-  u64 cow = 0, cloned = 0;
-  constexpr int kRounds = 8;
-  for (int r = 0; r < kRounds; ++r) {
-    VersionedCellStore::Snapshot snap = store.Pin();
-    for (int i = 0; i < kWrites; ++i) {
-      store.GetOrCreate(rng.NextIndex(kStoreCells))[0] += 1.0f;
-    }
-    snap.Release();
-    const VersionedCellStore::Stats s = store.TakeStats();
-    cow += s.cow_bytes;
-    cloned += s.pages_cloned;
-  }
-  CowPoint p;
-  p.page_cells = page_cells;
-  p.cow_bytes = cow;
-  p.pages_cloned = cloned;
-  p.bytes_per_write = static_cast<double>(cow) / (kRounds * kWrites);
-  return p;
-}
-
 // Steady-state serialization loop: encode a PartData-sized payload, consume
 // it, release the buffer. Reports the pool hit rate and fresh allocations
 // per message once warm.
@@ -225,7 +185,7 @@ std::string ReadFileOrEmpty(const std::string& path) {
 int Main(int argc, char** argv) {
   PrintHeader("data-plane raw speed",
               "SIMD gather/apply/clone kernels vs forced-scalar, pooled "
-              "serialization, COW bytes per page size");
+              "serialization");
   const std::string baseline_path = argc > 1 ? argv[1] : "";
 
   Rng rng(3);
@@ -271,25 +231,6 @@ int Main(int argc, char** argv) {
   std::printf("serialization: %.0f MB/s, pool hit rate %.3f, allocs/message %.4f\n",
               serde.mb_per_sec, serde.hit_rate, serde.allocs_per_message);
 
-  std::vector<CowPoint> cow;
-  std::printf("page_cells,cow_bytes,pages_cloned,bytes_per_write\n");
-  for (i64 pc : {i64{64}, i64{256}, i64{1024}}) {
-    cow.push_back(BenchCow(pc));
-    std::printf("%lld,%llu,%llu,%.1f\n", static_cast<long long>(cow.back().page_cells),
-                static_cast<unsigned long long>(cow.back().cow_bytes),
-                static_cast<unsigned long long>(cow.back().pages_cloned),
-                cow.back().bytes_per_write);
-  }
-
-  std::vector<std::string> cow_rows;
-  for (const CowPoint& p : cow) {
-    cow_rows.push_back(JsonF("{\"page_cells\": %lld, \"cow_bytes\": %llu, "
-                             "\"pages_cloned\": %llu, \"bytes_per_write\": %.1f}",
-                             static_cast<long long>(p.page_cells),
-                             static_cast<unsigned long long>(p.cow_bytes),
-                             static_cast<unsigned long long>(p.pages_cloned),
-                             p.bytes_per_write));
-  }
   BenchJson("dataplane")
       .Figure("best_level", JsonF("\"%s\"", simd::LevelName(simd::BestSupportedLevel())))
       .Figure("gather_copy_scalar_mb_s", JsonF("%.1f", copy_scalar))
@@ -304,7 +245,6 @@ int Main(int argc, char** argv) {
       .Figure("serde_mb_per_sec", JsonF("%.1f", serde.mb_per_sec))
       .Figure("pool_hit_rate", JsonF("%.4f", serde.hit_rate))
       .Figure("allocs_per_message", JsonF("%.4f", serde.allocs_per_message))
-      .Figure("cow_sweep", BenchJson::Array(cow_rows))
       .Write();
 
   bool ok = true;
@@ -318,11 +258,6 @@ int Main(int argc, char** argv) {
   PrintShape("steady-state pool hit rate >= 0.95 (allocs/message ~ 0)",
              serde.hit_rate >= 0.95);
   ok = ok && serde.hit_rate >= 0.95;
-  PrintShape("COW bytes per sparse write shrink monotonically with page size",
-             cow[0].bytes_per_write < cow[1].bytes_per_write &&
-                 cow[1].bytes_per_write < cow[2].bytes_per_write);
-  ok = ok && cow[0].bytes_per_write < cow[1].bytes_per_write &&
-       cow[1].bytes_per_write < cow[2].bytes_per_write;
 
   // Regression gate vs the committed baseline: dimensionless ratios only.
   if (!baseline_path.empty()) {

@@ -8,7 +8,7 @@
 
 namespace orion {
 
-// POSIX durability helpers shared by the checkpoint writer and the delta log.
+// POSIX durability helpers shared by the delta log and the flight recorder.
 //
 // The contract for "this file now exists with these bytes, even across a
 // crash" on POSIX is three-step: write + fsync the file itself, rename it
@@ -41,9 +41,9 @@ Status FsyncParentDir(const std::string& path);
 // not exist.
 StatusOr<std::vector<u8>> ReadFileBytes(const std::string& path);
 
-// FNV-1a 64-bit hash, used as the record checksum by both the checkpoint
-// writer and the delta log. Pass a previous result as `seed` to chain the
-// hash over discontiguous spans (e.g. frame header fields + payload).
+// FNV-1a 64-bit hash, used as the delta log's frame checksum. Pass a
+// previous result as `seed` to chain the hash over discontiguous spans (e.g.
+// frame header fields + payload).
 inline u64 Fnv1a64(const u8* data, size_t n, u64 seed = 14695981039346656037ull) {
   u64 h = seed;
   for (size_t i = 0; i < n; ++i) {

@@ -13,9 +13,9 @@ namespace {
 
 constexpr u32 kBaseMagic = 0x4f524442;  // "ORDB"
 constexpr u32 kWalMagic = 0x4f52444c;   // "ORDL"
-// v2: delta array records carry their page geometry (page sizes are
-// per-array runtime parameters now, not a compile-time constant).
-constexpr u32 kLogVersion = 2;
+// v3: delta array records no longer carry a page size; every store pages
+// at VersionedCellStore::kPageCells.
+constexpr u32 kLogVersion = 3;
 
 std::string BasePath(const std::string& dir) { return dir + "/base.orib"; }
 std::string WalPath(const std::string& dir) { return dir + "/wal.oril"; }
@@ -46,32 +46,39 @@ std::vector<u8> FrameRecord(u32 magic, u64 seq, const std::vector<u8>& payload) 
   return w.Take();
 }
 
-// Validates one frame starting at `r`'s position. Returns the seq and the
-// payload span on success; nullopt on a torn or corrupt frame (magic,
-// version, size or checksum mismatch).
+// Validates one frame starting at `*pos` and advances past it. Returns the
+// seq and the payload span, or InvalidArgument naming the failed check (short
+// header or payload, magic, version, checksum) in words that follow the file
+// name: base images report it, the WAL scan treats any failure as its torn
+// tail.
 struct Frame {
   u64 seq = 0;
   const u8* payload = nullptr;
   size_t payload_size = 0;
 };
-std::optional<Frame> ReadFrame(const std::vector<u8>& bytes, size_t* pos, u32 magic) {
+StatusOr<Frame> ReadFrame(const std::vector<u8>& bytes, size_t* pos, u32 magic) {
   if (bytes.size() - *pos < kFrameHeaderBytes) {
-    return std::nullopt;
+    return Status::InvalidArgument("is truncated");
   }
   ByteReader r(bytes.data() + *pos, bytes.size() - *pos);
-  if (r.Get<u32>() != magic || r.Get<u32>() != kLogVersion) {
-    return std::nullopt;
+  if (r.Get<u32>() != magic) {
+    return Status::InvalidArgument("is not an Orion checkpoint");
+  }
+  const u32 version = r.Get<u32>();
+  if (version != kLogVersion) {
+    return Status::InvalidArgument("has an unsupported checkpoint version " +
+                                   std::to_string(version));
   }
   Frame f;
   f.seq = r.Get<u64>();
   f.payload_size = static_cast<size_t>(r.Get<u64>());
   const u64 crc = r.Get<u64>();
   if (f.payload_size > r.remaining()) {
-    return std::nullopt;  // torn tail
+    return Status::InvalidArgument("is truncated");  // torn tail
   }
   f.payload = bytes.data() + *pos + kFrameHeaderBytes;
   if (FrameCrc(f.seq, f.payload, f.payload_size) != crc) {
-    return std::nullopt;
+    return Status::InvalidArgument("failed checksum verification");
   }
   *pos += kFrameHeaderBytes + f.payload_size;
   return f;
@@ -92,7 +99,6 @@ void EncodeDeltaArray(const ArrayCheckpointRef& a, ByteWriter* w, u64* pages_out
   w->Put<i64>(s.range_lo());
   w->Put<i64>(s.range_hi());
   w->Put<i64>(s.NumCells());
-  w->Put<i64>(s.page_cells());
   std::vector<i64> new_keys;
   if (s.layout() == CellStore::Layout::kHashed) {
     const auto& keys = s.paged_keys();
@@ -112,19 +118,6 @@ void EncodeDeltaArray(const ArrayCheckpointRef& a, ByteWriter* w, u64* pages_out
     w->PutBytes(s.PageData(pi), page_floats * sizeof(f32));
   }
   *pages_out += dirty.size();
-}
-
-StatusOr<std::map<std::string, CellStore>> DecodeFullArrays(ByteReader* r, u64 count) {
-  std::map<std::string, CellStore> out;
-  for (u64 i = 0; i < count; ++i) {
-    std::string name = r->GetString();
-    auto store = CellStore::TryDeserialize(r);
-    if (!store.ok()) {
-      return Status::InvalidArgument("array " + name + ": " + store.status().message());
-    }
-    out.emplace(std::move(name), std::move(store).value());
-  }
-  return out;
 }
 
 }  // namespace
@@ -152,33 +145,73 @@ MasterRecord MasterRecord::Decode(ByteReader* r) {
 }
 
 // ---------------------------------------------------------------------------
+// Base images
+
+StatusOr<u64> WriteBaseImage(const std::string& path, u64 seq, const MasterRecord& master,
+                             const std::vector<ArrayCheckpointRef>& arrays) {
+  ByteWriter payload;
+  master.Encode(&payload);
+  payload.Put<u64>(static_cast<u64>(arrays.size()));
+  for (const ArrayCheckpointRef& a : arrays) {
+    payload.PutString(a.name);
+    a.store->SerializeTo(&payload);
+  }
+  std::vector<u8> frame = FrameRecord(kBaseMagic, seq, payload.bytes());
+  const u64 bytes = frame.size();
+  const Status s = DurableWriteFile(path, frame.data(), frame.size());
+  // Recycle both scratch buffers whether or not the write stuck; the next
+  // checkpoint's encode acquires them straight back from the pool.
+  BufferPool::Release(payload.Take());
+  BufferPool::Release(std::move(frame));
+  if (!s.ok()) {
+    return s;
+  }
+  return bytes;
+}
+
+StatusOr<BaseImage> ReadBaseImage(const std::string& path) {
+  auto bytes = ReadFileBytes(path);
+  if (!bytes.ok()) {
+    return bytes.status();
+  }
+  size_t pos = 0;
+  auto frame = ReadFrame(*bytes, &pos, kBaseMagic);
+  if (!frame.ok()) {
+    return Status::InvalidArgument(path + " " + frame.status().message());
+  }
+  if (pos != bytes->size()) {
+    return Status::InvalidArgument(path + " has trailing bytes after its image");
+  }
+  BaseImage out;
+  out.seq = frame->seq;
+  ByteReader r(frame->payload, frame->payload_size);
+  out.master = MasterRecord::Decode(&r);
+  for (u64 i = r.Get<u64>(); i > 0; --i) {
+    std::string name = r.GetString();
+    auto store = CellStore::TryDeserialize(&r);
+    if (!store.ok()) {
+      return Status::InvalidArgument(path + ": array " + name + ": " + store.status().message());
+    }
+    out.arrays.emplace(std::move(name), std::move(store).value());
+  }
+  return out;
+}
+
+// ---------------------------------------------------------------------------
 // Reader
 
 StatusOr<DeltaLogReader> DeltaLogReader::Open(const std::string& dir) {
   DeltaLogReader out;
 
-  auto base_bytes = ReadFileBytes(BasePath(dir));
-  if (!base_bytes.ok()) {
-    return Status::NotFound("delta log " + dir + " has no base image: " +
-                            base_bytes.status().message());
+  // A missing base reads as kNotFound (a fresh log); a corrupt one as
+  // kInvalidArgument, so the writer refuses to append over it.
+  auto base = ReadBaseImage(BasePath(dir));
+  if (!base.ok()) {
+    return base.status();
   }
-  size_t pos = 0;
-  auto base = ReadFrame(*base_bytes, &pos, kBaseMagic);
-  if (!base.has_value() || pos != base_bytes->size()) {
-    return Status::InvalidArgument("delta log " + dir + " base image is corrupt");
-  }
-  {
-    ByteReader r(base->payload, base->payload_size);
-    out.base_seq_ = base->seq;
-    out.base_master_ = MasterRecord::Decode(&r);
-    const u64 count = r.Get<u64>();
-    auto arrays = DecodeFullArrays(&r, count);
-    if (!arrays.ok()) {
-      return Status::InvalidArgument("delta log " + dir + " base: " +
-                                     arrays.status().message());
-    }
-    out.base_arrays_ = std::move(arrays).value();
-  }
+  out.base_seq_ = base->seq;
+  out.base_master_ = std::move(base->master);
+  out.base_arrays_ = std::move(base->arrays);
   out.points_.push_back({out.base_seq_, out.base_master_.next_pass});
 
   auto wal_bytes = ReadFileBytes(WalPath(dir));
@@ -188,11 +221,11 @@ StatusOr<DeltaLogReader> DeltaLogReader::Open(const std::string& dir) {
     }
     return out;  // base only — fresh log or just-compacted
   }
-  pos = 0;
+  size_t pos = 0;
   while (pos < wal_bytes->size()) {
     const size_t frame_start = pos;
     auto f = ReadFrame(*wal_bytes, &pos, kWalMagic);
-    if (!f.has_value()) {
+    if (!f.ok()) {
       out.torn_tail_ = true;
       out.valid_wal_bytes_ = frame_start;
       return out;
@@ -226,7 +259,6 @@ StatusOr<DeltaLogReader> DeltaLogReader::Open(const std::string& dir) {
         d.lo = r.Get<i64>();
         d.hi = r.Get<i64>();
         d.num_cells = r.Get<i64>();
-        d.page_cells = r.Get<i64>();
         d.new_keys = r.GetVec<i64>();
         const u64 npages = r.Get<u64>();
         d.pages.reserve(static_cast<size_t>(npages));
@@ -287,10 +319,7 @@ StatusOr<DeltaLogReader::State> DeltaLogReader::StateAt(u64 seq) const {
       if (cells.NumCells() != d.num_cells) {
         return Status::InvalidArgument("delta cell count mismatch for array " + d.name);
       }
-      if (d.page_cells <= 0) {
-        return Status::InvalidArgument("delta page size invalid for array " + d.name);
-      }
-      const size_t page_floats = static_cast<size_t>(d.page_cells) * d.vdim;
+      const size_t page_floats = static_cast<size_t>(VersionedCellStore::kPageCells) * d.vdim;
       const size_t total = static_cast<size_t>(d.num_cells) * d.vdim;
       f32* dst = cells.raw_values_data();
       for (const auto& [pi, page] : d.pages) {
@@ -352,28 +381,16 @@ StatusOr<std::unique_ptr<DeltaLogWriter>> DeltaLogWriter::Open(
 Status DeltaLogWriter::WriteBase(const MasterRecord& master,
                                  const std::vector<ArrayCheckpointRef>& arrays,
                                  u64* bytes) {
-  ByteWriter payload;
-  master.Encode(&payload);
-  payload.Put<u64>(static_cast<u64>(arrays.size()));
-  for (const ArrayCheckpointRef& a : arrays) {
-    payload.PutString(a.name);
-    a.store->SerializeTo(&payload);
+  auto written = WriteBaseImage(BasePath(dir_), seq_, master, arrays);
+  if (!written.ok()) {
+    return written.status();
   }
-  std::vector<u8> frame = FrameRecord(kBaseMagic, seq_, payload.bytes());
-  *bytes += frame.size();
-  Status s = DurableWriteFile(BasePath(dir_), frame.data(), frame.size());
-  // Recycle both scratch buffers whether or not the write stuck; the next
-  // checkpoint's encode acquires them straight back from the pool.
-  BufferPool::Release(payload.Take());
-  BufferPool::Release(std::move(frame));
-  if (!s.ok()) {
-    return s;
-  }
+  *bytes += *written;
   // The WAL prefix is now folded into the base; drop it. A crash before the
   // truncate is benign — readers skip records with seq <= base seq.
   std::error_code ec;
   if (std::filesystem::exists(WalPath(dir_), ec)) {
-    s = DurableTruncateFile(WalPath(dir_), 0);
+    const Status s = DurableTruncateFile(WalPath(dir_), 0);
     if (!s.ok()) {
       return s;
     }

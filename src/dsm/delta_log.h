@@ -1,9 +1,11 @@
-// Log-structured durability for the driver's master state (ROADMAP
-// "log-structured durability"; replaces whole-store CheckpointWrite cycles).
+// Log-structured durability for the driver's master state, and the one
+// on-disk checkpoint format.
 //
 // On-disk layout inside one log directory:
 //
-//   base.orib   full image: master record + every array serialized whole.
+//   base.orib   base image: master record + every array serialized whole.
+//               Driver::Checkpoint writes the same format, holding one array
+//               under its name and an empty master record.
 //   wal.oril    append-only delta records. Each record carries the master
 //               record at that checkpoint plus, per array, either the pages
 //               dirtied since the previous record (delta) or a full store
@@ -17,11 +19,11 @@
 // truncates the WAL, and a reader skips any surviving WAL record with
 // seq <= base_seq (the crash window between base rename and WAL truncate).
 //
-// Durability discipline (shared with CheckpointWrite via durable_io):
-// appends are write+fsync on the WAL fd; base replacement is write-temp,
-// fsync, rename, fsync-directory. A torn WAL tail — from a crash mid-append
-// — fails its size or checksum check; readers stop at the last valid record
-// and writers truncate the tail before appending again.
+// Durability discipline (durable_io): appends are write+fsync on the WAL
+// fd; base replacement is write-temp, fsync, rename, fsync-directory. A torn
+// WAL tail — from a crash mid-append — fails its size or checksum check;
+// readers stop at the last valid record and writers truncate the tail before
+// appending again.
 #ifndef ORION_SRC_DSM_DELTA_LOG_H_
 #define ORION_SRC_DSM_DELTA_LOG_H_
 
@@ -69,6 +71,24 @@ struct ArrayCheckpointRef {
   std::string name;
   VersionedCellStore* store = nullptr;
 };
+
+// A base image read back: its seq, master record and whole arrays by name.
+struct BaseImage {
+  u64 seq = 0;
+  MasterRecord master;
+  std::map<std::string, CellStore> arrays;
+};
+
+// Durably writes a base image of `arrays` to `path` (write-temp, fsync,
+// rename, fsync-directory) without collapsing paged stores. Returns the file
+// size.
+StatusOr<u64> WriteBaseImage(const std::string& path, u64 seq, const MasterRecord& master,
+                             const std::vector<ArrayCheckpointRef>& arrays);
+
+// Reads and validates a base image. A missing file is kNotFound; a short,
+// foreign, future-version or corrupt one is kInvalidArgument naming the path
+// and the failed check.
+StatusOr<BaseImage> ReadBaseImage(const std::string& path);
 
 struct DeltaAppendStats {
   u64 bytes_appended = 0;  // bytes written to disk for this checkpoint
@@ -156,9 +176,6 @@ class DeltaLogReader {
     i64 lo = 0;
     i64 hi = -1;
     i64 num_cells = 0;
-    // Page geometry of the writing store (page sizes are per-array and may
-    // be retuned between runs, so each delta record carries its own).
-    i64 page_cells = VersionedCellStore::kPageCells;
     std::vector<i64> new_keys;  // hashed growth since the previous record
     std::vector<std::pair<u32, std::vector<f32>>> pages;
   };

@@ -4,8 +4,9 @@
 // two modes:
 //
 //  - Flat: a plain CellStore (exactly the seed representation). All
-//    between-pass machinery — checkpoints, scatters, gathers, serial loops —
-//    keeps operating on `Flat()` with zero overhead.
+//    between-pass machinery — scatters, gathers, serial loops — keeps
+//    operating on `Flat()` with zero overhead. Checkpoints read either mode
+//    through SerializeTo() and never collapse.
 //  - Paged: the cells live on refcounted pages of kPageCells cells each
 //    (BeginServing() paginates; Flat() collapses back). In this mode
 //    `Pin()` publishes the current version as an immutable Snapshot — two
@@ -54,18 +55,13 @@ namespace orion {
 
 class VersionedCellStore {
  public:
-  // Default cells per page. Small enough that a wavefront overwrite touching
-  // a few cells clones a few KB, large enough that pagination stays cheap.
-  // The effective size is a per-array runtime parameter (page_cells()):
-  // SetPageCells() picks it explicitly, AutoTunePageSize() adapts it from
-  // value_dim and observed write sparsity — small pages shrink COW bytes for
-  // sparse writers, large pages cut pagination overhead for dense serving.
+  // Cells per page, for every array. Small enough that a wavefront overwrite
+  // touching a few cells clones a few KB, large enough that pagination stays
+  // cheap.
   static constexpr i64 kPageCells = 256;
-  static constexpr i64 kMinPageCells = 64;
-  static constexpr i64 kMaxPageCells = 1024;
 
   struct Page {
-    std::vector<f32> v;  // page_cells * value_dim floats
+    std::vector<f32> v;  // kPageCells * value_dim floats
   };
   struct PageTable {
     std::vector<std::shared_ptr<Page>> pages;
@@ -95,7 +91,6 @@ class VersionedCellStore {
         lo_ = other.lo_;
         hi_ = other.hi_;
         vdim_ = other.vdim_;
-        page_cells_ = other.page_cells_;
       }
       return *this;
     }
@@ -120,8 +115,8 @@ class VersionedCellStore {
         }
         slot = it->second;
       }
-      const Page& p = *table_->pages[static_cast<size_t>(slot / page_cells_)];
-      return p.v.data() + static_cast<size_t>(slot % page_cells_) * vdim_;
+      const Page& p = *table_->pages[static_cast<size_t>(slot / kPageCells)];
+      return p.v.data() + static_cast<size_t>(slot % kPageCells) * vdim_;
     }
 
     // Drops the version references, then the pin. Order matters: the
@@ -146,7 +141,6 @@ class VersionedCellStore {
     i64 lo_ = 0;
     i64 hi_ = -1;
     i32 vdim_ = 1;
-    i64 page_cells_ = kPageCells;
   };
 
   // Writer-side pass stats (clone traffic and pins since the last Take).
@@ -199,13 +193,13 @@ class VersionedCellStore {
         index_->slot_of.emplace(keys_[i], static_cast<i64>(i));
       }
     }
-    const i64 npages = (num_cells_ + page_cells_ - 1) / page_cells_;
+    const i64 npages = (num_cells_ + kPageCells - 1) / kPageCells;
     table_ = std::make_shared<PageTable>();
     table_->pages.reserve(static_cast<size_t>(npages));
     // Both layouts keep values in slot order (dense: key order, hashed:
     // insertion order), so pagination is a straight chop of the backing span.
     const std::vector<f32>& src = flat_.raw_values();
-    const size_t page_floats = static_cast<size_t>(page_cells_) * vdim_;
+    const size_t page_floats = PageFloats();
     for (i64 p = 0; p < npages; ++p) {
       auto page = std::make_shared<Page>();
       page->v.assign(page_floats, 0.0f);
@@ -243,7 +237,6 @@ class VersionedCellStore {
     s.lo_ = lo_;
     s.hi_ = hi_;
     s.vdim_ = vdim_;
-    s.page_cells_ = page_cells_;
     return s;
   }
 
@@ -277,60 +270,6 @@ class VersionedCellStore {
   }
 
   u64 publish_seq() const { return publish_seq_; }
-
-  // ---- Per-array page sizing ----
-
-  i64 page_cells() const { return page_cells_; }
-
-  // Sets the page size. Cheap in flat mode (takes effect at the next
-  // BeginServing); in paged mode it repaginates — collapse plus re-chop, two
-  // bulk copies — which requires no live snapshots and honestly invalidates
-  // delta tracking (the next checkpoint writes a full record).
-  void SetPageCells(i64 cells) {
-    ORION_CHECK(cells > 0) << "page size must be positive";
-    if (cells == page_cells_) {
-      return;
-    }
-    if (!paged_) {
-      page_cells_ = cells;
-      return;
-    }
-    ORION_CHECK(NoLivePins()) << "repaginating a versioned store with live snapshots";
-    Collapse();
-    page_cells_ = cells;
-    BeginServing();
-  }
-
-  // Adapts the page size to the traffic observed since the last call (one
-  // call per pass, at a quiesced point). Serving-only arrays grow toward
-  // kMaxPageCells (pagination overhead only, no COW); sparse writers shrink
-  // toward kMinPageCells (clone bytes scale with page size); dense writers
-  // settle at a ~4 KiB page derived from value_dim. Two consecutive agreeing
-  // picks are required before repaginating, so a single odd pass cannot
-  // thrash the layout. Returns true when it repaginated.
-  bool AutoTunePageSize() {
-    if (!paged_ || !NoLivePins()) {
-      return false;
-    }
-    const i64 desired = PickPageCells();
-    tune_cell_writes_ = 0;
-    if (desired == page_cells_) {
-      tune_pending_ = desired;
-      tune_streak_ = 0;
-      return false;
-    }
-    if (tune_pending_ != desired) {
-      tune_pending_ = desired;
-      tune_streak_ = 1;
-      return false;
-    }
-    if (++tune_streak_ < 2) {
-      return false;
-    }
-    SetPageCells(desired);
-    tune_streak_ = 0;
-    return true;
-  }
 
   // ---- CellStore-compatible access (writer thread) ----
   // In flat mode these delegate 1:1; in paged mode writes go through
@@ -447,7 +386,7 @@ class VersionedCellStore {
   i64 range_hi() const { return paged_ ? hi_ : flat_.range_hi(); }
   const std::vector<i64>& paged_keys() const { return keys_; }
   const f32* PageData(size_t pi) const { return table_->pages[pi]->v.data(); }
-  size_t PageFloats() const { return static_cast<size_t>(page_cells_) * vdim_; }
+  size_t PageFloats() const { return static_cast<size_t>(kPageCells) * vdim_; }
 
   // Serializes the current contents in exactly the CellStore wire format —
   // byte-identical to Flat().Serialize(w) — without collapsing, so a base
@@ -493,7 +432,7 @@ class VersionedCellStore {
     ORION_CHECK(paged_);
     const i64 slot = SlotOf(key);
     ORION_CHECK(slot >= 0);
-    return table_->pages[static_cast<size_t>(slot / page_cells_)].use_count();
+    return table_->pages[static_cast<size_t>(slot / kPageCells)].use_count();
   }
 
  private:
@@ -510,34 +449,8 @@ class VersionedCellStore {
   }
 
   const f32* SlotPtr(i64 slot) const {
-    const Page& p = *table_->pages[static_cast<size_t>(slot / page_cells_)];
-    return p.v.data() + static_cast<size_t>(slot % page_cells_) * vdim_;
-  }
-
-  // Page size the autotuner would choose right now, from value_dim and the
-  // write density since the last tune window. Clamped powers of two only, so
-  // slot arithmetic stays cheap and the sweep space is small.
-  i64 PickPageCells() const {
-    if (tune_cell_writes_ == 0) {
-      // Serving-only: no COW traffic to shrink for; amortize pagination.
-      return kMaxPageCells;
-    }
-    const double write_fraction =
-        static_cast<double>(tune_cell_writes_) /
-        static_cast<double>(std::max<i64>(1, num_cells_));
-    if (write_fraction < 1.0 / 16.0) {
-      // Sparse writers (wavefront flushes): clone bytes scale with page
-      // size, so go small.
-      return kMinPageCells;
-    }
-    // Dense writers: target ~4 KiB pages so one clone is one page of cache
-    // lines, scaled down as cells get wider.
-    i64 cells = kMaxPageCells;
-    while (cells > kMinPageCells &&
-           cells * static_cast<i64>(sizeof(f32)) * vdim_ > 4096) {
-      cells /= 2;
-    }
-    return cells;
+    const Page& p = *table_->pages[static_cast<size_t>(slot / kPageCells)];
+    return p.v.data() + static_cast<size_t>(slot % kPageCells) * vdim_;
   }
 
   bool NoLivePins() const { return pins_->load(std::memory_order_acquire) == 0; }
@@ -553,7 +466,7 @@ class VersionedCellStore {
   // Returns a writable pointer to `slot`, cloning its page first when a live
   // snapshot might still reference it.
   f32* WritableSlot(i64 slot) {
-    const size_t pi = static_cast<size_t>(slot / page_cells_);
+    const size_t pi = static_cast<size_t>(slot / kPageCells);
     if (page_epoch_[pi] != pin_epoch_) {
       if (NoLivePins()) {
         // Every snapshot that ever saw this page is released; claim it.
@@ -573,9 +486,8 @@ class VersionedCellStore {
     }
     dirty_[pi] = 1;
     version_dirty_[pi] = 1;
-    ++tune_cell_writes_;
     Page& p = *table_->pages[pi];
-    return p.v.data() + static_cast<size_t>(slot % page_cells_) * vdim_;
+    return p.v.data() + static_cast<size_t>(slot % kPageCells) * vdim_;
   }
 
   // Hashed insert while paged: clone the index (and possibly grow the table)
@@ -588,7 +500,7 @@ class VersionedCellStore {
       index_epoch_ = pin_epoch_;
     }
     const i64 slot = num_cells_;
-    const size_t pi = static_cast<size_t>(slot / page_cells_);
+    const size_t pi = static_cast<size_t>(slot / kPageCells);
     if (pi == table_->pages.size()) {
       if (!NoLivePins()) {
         EnsureTableOwned();
@@ -596,7 +508,7 @@ class VersionedCellStore {
         table_epoch_ = pin_epoch_;
       }
       auto page = std::make_shared<Page>();
-      page->v.assign(static_cast<size_t>(page_cells_) * vdim_, 0.0f);
+      page->v.assign(PageFloats(), 0.0f);
       table_->pages.push_back(std::move(page));
       page_epoch_.push_back(pin_epoch_);  // fresh page: writer-owned
       dirty_.push_back(1);
@@ -623,7 +535,7 @@ class VersionedCellStore {
       }
     } else {
       f32* dst = out.raw_values_data();
-      const size_t page_floats = static_cast<size_t>(page_cells_) * vdim_;
+      const size_t page_floats = PageFloats();
       const size_t total = static_cast<size_t>(num_cells_) * vdim_;
       for (size_t pi = 0; pi < table_->pages.size(); ++pi) {
         const size_t off = pi * page_floats;
@@ -686,15 +598,6 @@ class VersionedCellStore {
   // `publish_seq_` survives collapse so versions stay monotone per store.
   std::vector<u8> version_dirty_;
   u64 publish_seq_ = 0;
-
-  // Per-array page size. Survives collapse/repagination; snapshots carry
-  // their own copy so a retune never perturbs a pinned version's geometry.
-  i64 page_cells_ = kPageCells;
-  // Autotune window: cells written through WritableSlot since the last
-  // AutoTunePageSize() call, plus the two-pick hysteresis state.
-  u64 tune_cell_writes_ = 0;
-  i64 tune_pending_ = 0;
-  int tune_streak_ = 0;
 
   Stats stats_;
 };

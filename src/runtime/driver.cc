@@ -36,6 +36,36 @@ void RaiseWatermark(std::atomic<i64>* mark, i64 value) {
     mark->store(value, std::memory_order_relaxed);
   }
 }
+
+// Whether `cells` can replace the master of `meta`: the same value_dim, and
+// the layout and extent CreateDistArray gave it (a dense array covers its
+// whole key space, a sparse one holds only keys inside it). A mismatch would
+// otherwise surface as a CHECK on the first out-of-range access.
+Status CheckCellsFit(const DistArrayMeta& meta, const CellStore& cells) {
+  if (cells.value_dim() != meta.value_dim) {
+    return Status::InvalidArgument("value_dim mismatch for " + meta.name);
+  }
+  const i64 total = meta.key_space.total();
+  if (meta.density == Density::kDense) {
+    if (cells.layout() != CellStore::Layout::kFullDense || cells.NumCells() != total) {
+      return Status::InvalidArgument("cell extent mismatch for " + meta.name + ": expected " +
+                                     std::to_string(total) + " dense cells, got " +
+                                     std::to_string(cells.NumCells()));
+    }
+    return Status::Ok();
+  }
+  if (cells.layout() != CellStore::Layout::kHashed) {
+    return Status::InvalidArgument("layout mismatch for " + meta.name +
+                                   ": expected a sparse array, got a dense one");
+  }
+  for (const i64 key : cells.keys()) {
+    if (key < 0 || key >= total) {
+      return Status::InvalidArgument("key " + std::to_string(key) + " lies outside " +
+                                     meta.name + "'s key space");
+    }
+  }
+  return Status::Ok();
+}
 }  // namespace
 
 Driver::Driver(const DriverConfig& config)
@@ -236,21 +266,28 @@ DistArrayId Driver::GroupByDim(DistArrayId src, int dim, const std::string& name
 }
 
 Status Driver::Checkpoint(DistArrayId id, const std::string& path) {
-  return CheckpointWrite(path, MutableCells(id));
+  GatherToDriver(id);
+  ArrayHost& h = Host(id);
+  // A one-array base image. SerializeTo reads a paged master in place, so
+  // serving pins and delta-log page tracking are left undisturbed.
+  return WriteBaseImage(path, 0, MasterRecord{}, {{h.meta.name, &h.master}}).status();
 }
 
 Status Driver::Restore(DistArrayId id, const std::string& path) {
-  auto cells = CheckpointRead(path);
-  ORION_RETURN_IF_ERROR(cells.status());
+  auto image = ReadBaseImage(path);
+  if (image.status().code() == StatusCode::kNotFound) {
+    return Status::IoError("cannot open " + path);
+  }
+  ORION_RETURN_IF_ERROR(image.status());
   ArrayHost& h = Host(id);
-  if (h.on_workers) {
-    GatherToDriver(id);
+  auto it = image->arrays.find(h.meta.name);
+  if (it == image->arrays.end()) {
+    return Status::InvalidArgument(path + " has no array named " + h.meta.name);
   }
-  if (cells->value_dim() != h.meta.value_dim) {
-    return Status::InvalidArgument("checkpoint value_dim mismatch for " + h.meta.name);
-  }
+  ORION_RETURN_IF_ERROR(CheckCellsFit(h.meta, it->second));
+  GatherToDriver(id);
   QuiesceServingFor(id);  // wholesale replacement drops pages (needs no pins)
-  h.master = std::move(cells).value();
+  h.master = std::move(it->second);
   return Status::Ok();
 }
 
@@ -1192,10 +1229,6 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
       last_metrics_.versioned_snapshot_pins += vs.pins;
       last_metrics_.versioned_pages_cloned += vs.pages_cloned;
       last_metrics_.versioned_cow_bytes += vs.cow_bytes;
-      // Pass end is a quiesced point (param server drained, no live pins):
-      // safe to repaginate if the observed write sparsity says the page
-      // size is wrong for this array.
-      h.master.AutoTunePageSize();
     }
   }
 
@@ -1290,6 +1323,7 @@ Status Driver::InstallLogState(DeltaLogReader::State state, bool restore_pass_co
     if (it == state.arrays.end()) {
       return Status::InvalidArgument("log state has no array named " + h.meta.name);
     }
+    ORION_RETURN_IF_ERROR(CheckCellsFit(h.meta, it->second));
     h.master = std::move(it->second);
   }
   if (state.master.accumulators.size() != accumulators_.size()) {
@@ -1859,10 +1893,6 @@ MetricsRegistry Driver::ExportMetrics() const {
                bp.acquires == 0
                    ? 0.0
                    : static_cast<double>(bp.hits) / static_cast<double>(bp.acquires));
-  for (const auto& [id, host] : arrays_) {
-    reg.SetGauge("versioned.page_cells." + host->meta.name,
-                 static_cast<double>(host->master.page_cells()));
-  }
 
   // Serving tier: cumulative request counters, the last publish interval's
   // QPS, and p50/p99 over the merged request-latency histogram.

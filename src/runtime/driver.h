@@ -35,7 +35,6 @@
 #include "src/obs/anomaly.h"
 #include "src/obs/metrics_endpoint.h"
 #include "src/obs/monitor.h"
-#include "src/dsm/checkpoint.h"
 #include "src/dsm/delta_log.h"
 #include "src/dsm/versioned_store.h"
 #include "src/net/fabric.h"
@@ -122,7 +121,9 @@ class Driver {
   DistArrayId GroupByDim(DistArrayId src, int dim, const std::string& name, i32 out_value_dim,
                          const GroupReduceFn& reduce);
 
-  // Checkpointing (paper Sec. 4.3 fault tolerance).
+  // Checkpointing (paper Sec. 4.3 fault tolerance). Restore of a missing
+  // file is kIoError naming the path; of an image that does not fit the
+  // array, kInvalidArgument.
   Status Checkpoint(DistArrayId id, const std::string& path);
   Status Restore(DistArrayId id, const std::string& path);
 

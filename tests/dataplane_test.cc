@@ -1,5 +1,5 @@
-// Data-plane raw-speed pass: the SIMD kernels, the serialization buffer
-// pool, and per-array page sizing must all be invisible to results.
+// Data-plane raw-speed pass: the SIMD kernels and the serialization buffer
+// pool must both be invisible to results.
 //
 //  - simd::CopyF32 / simd::AddF32 are bit-for-bit identical to the scalar
 //    loops at every dispatch level, across randomized sizes and alignments
@@ -8,16 +8,9 @@
 //  - BufferPool recycles released buffers (steady-state hit rate), accounts
 //    hits/misses/discards, and its thread-local caches stay coherent under
 //    concurrent lanes.
-//  - VersionedCellStore contents are bit-for-bit identical across
-//    page_cells in {64, 256, 1024}, and the autotuner repaginates only on
-//    two consecutive agreeing picks at quiesced points.
-//  - The delta log round-trips stores with non-default page sizes (format
-//    v2 carries the page geometry per record).
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <filesystem>
-#include <map>
 #include <thread>
 #include <vector>
 
@@ -25,9 +18,6 @@
 #include "src/common/rng.h"
 #include "src/common/serde.h"
 #include "src/common/simd.h"
-#include "src/dsm/cell_store.h"
-#include "src/dsm/delta_log.h"
-#include "src/dsm/versioned_store.h"
 
 namespace orion {
 namespace {
@@ -239,202 +229,6 @@ TEST(BufferPool, ByteWriterReserveAvoidsRegrowth) {
   EXPECT_EQ(out.size(), total);
   BufferPool::Release(std::move(out));
   BufferPool::TrimThreadCacheForTest();
-}
-
-// ---------------------------------------------------------------------------
-// Page-size sweep and autotune.
-
-using CellMap = std::map<i64, std::vector<f32>>;
-
-CellMap StoreSnapshot(const VersionedCellStore& s) {
-  CellMap out;
-  const i32 vdim = s.value_dim();
-  s.ForEachConst([&](i64 key, const f32* v) { out[key].assign(v, v + vdim); });
-  return out;
-}
-
-::testing::AssertionResult BitIdentical(const CellMap& a, const CellMap& b) {
-  if (a.size() != b.size()) {
-    return ::testing::AssertionFailure()
-           << "cell counts differ: " << a.size() << " vs " << b.size();
-  }
-  for (const auto& [key, va] : a) {
-    auto it = b.find(key);
-    if (it == b.end()) {
-      return ::testing::AssertionFailure() << "key " << key << " missing";
-    }
-    if (va.size() != it->second.size() ||
-        std::memcmp(va.data(), it->second.data(), va.size() * sizeof(f32)) != 0) {
-      return ::testing::AssertionFailure() << "key " << key << " differs bitwise";
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
-
-// One serve-write-snapshot cycle at a given page size; returns the final
-// contents. Every page size must produce byte-identical results.
-CellMap RunPagedWorkload(i64 page_cells, bool dense) {
-  constexpr i32 kDim = 3;
-  constexpr i64 kCells = 1500;
-  CellStore flat = dense ? CellStore(kDim, CellStore::Layout::kFullDense, kCells)
-                         : CellStore(kDim, CellStore::Layout::kHashed, 0);
-  Rng rng(0x9a6e5eedULL);
-  for (i64 k = 0; k < kCells; ++k) {
-    const i64 key = dense ? k : k * 7 + 1;
-    f32* v = flat.GetOrCreate(key);
-    for (i32 d = 0; d < kDim; ++d) {
-      v[d] = static_cast<f32>(rng.NextGaussian());
-    }
-  }
-  VersionedCellStore store(std::move(flat));
-  store.SetPageCells(page_cells);
-  store.BeginServing();
-  EXPECT_EQ(store.page_cells(), page_cells);
-
-  // Pin a snapshot, write through COW under it, merge additive deltas.
-  VersionedCellStore::Snapshot snap = store.Pin();
-  Rng wr(0x11ULL);
-  for (int i = 0; i < 300; ++i) {
-    const i64 k = wr.NextIndex(kCells);
-    const i64 key = dense ? k : k * 7 + 1;
-    f32* v = store.GetOrCreate(key);
-    v[0] += 1.0f;
-    v[2] = static_cast<f32>(i);
-  }
-  CellStore updates(kDim, CellStore::Layout::kHashed, 0);
-  for (int i = 0; i < 100; ++i) {
-    const i64 k = wr.NextIndex(kCells);
-    const i64 key = dense ? k : k * 7 + 1;
-    f32* v = updates.GetOrCreate(key);
-    v[1] = 0.25f;
-  }
-  store.MergeAdd(updates);
-  snap.Release();
-  return StoreSnapshot(store);
-}
-
-TEST(PageSize, SweepBitForBitIdentical) {
-  for (bool dense : {true, false}) {
-    const CellMap want = RunPagedWorkload(VersionedCellStore::kPageCells, dense);
-    for (i64 pc : {VersionedCellStore::kMinPageCells, VersionedCellStore::kMaxPageCells,
-                   i64{128}}) {
-      EXPECT_TRUE(BitIdentical(want, RunPagedWorkload(pc, dense)))
-          << "page_cells=" << pc << " dense=" << dense;
-    }
-  }
-}
-
-TEST(PageSize, SetPageCellsRepaginatesInPlace) {
-  CellStore flat(2, CellStore::Layout::kFullDense, 1000);
-  for (i64 k = 0; k < 1000; ++k) {
-    flat.GetOrCreate(k)[0] = static_cast<f32>(k);
-  }
-  VersionedCellStore store(std::move(flat));
-  store.BeginServing();
-  const CellMap before = StoreSnapshot(store);
-  EXPECT_EQ(store.page_cells(), VersionedCellStore::kPageCells);
-
-  store.SetPageCells(64);
-  EXPECT_TRUE(store.paged());
-  EXPECT_EQ(store.page_cells(), 64);
-  EXPECT_EQ(store.num_pages(), (1000 + 63) / 64);
-  EXPECT_TRUE(BitIdentical(before, StoreSnapshot(store)));
-  // Repagination cannot know which pages changed since the last checkpoint.
-  EXPECT_FALSE(store.delta_tracking_valid());
-}
-
-TEST(PageSize, AutoTuneServingOnlyGrowsWithHysteresis) {
-  CellStore flat(1, CellStore::Layout::kFullDense, 4000);
-  VersionedCellStore store(std::move(flat));
-  store.BeginServing();
-  ASSERT_EQ(store.page_cells(), VersionedCellStore::kPageCells);
-
-  // Serving-only passes pick kMaxPageCells, but one pick must not
-  // repaginate: hysteresis requires two consecutive agreeing picks.
-  EXPECT_FALSE(store.AutoTunePageSize());
-  EXPECT_EQ(store.page_cells(), VersionedCellStore::kPageCells);
-  EXPECT_TRUE(store.AutoTunePageSize());
-  EXPECT_EQ(store.page_cells(), VersionedCellStore::kMaxPageCells);
-}
-
-TEST(PageSize, AutoTuneSparseWritersShrink) {
-  CellStore flat(1, CellStore::Layout::kFullDense, 4000);
-  VersionedCellStore store(std::move(flat));
-  store.BeginServing();
-  store.SetPageCells(VersionedCellStore::kMaxPageCells);
-
-  // A handful of writes per pass out of 4000 cells: write fraction < 1/16,
-  // so the tuner wants kMinPageCells. Two agreeing passes repaginate.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (i64 k = 0; k < 10; ++k) {
-      store.GetOrCreate(k * 57)[0] += 1.0f;
-    }
-    const bool repaginated = store.AutoTunePageSize();
-    EXPECT_EQ(repaginated, pass == 1);
-  }
-  EXPECT_EQ(store.page_cells(), VersionedCellStore::kMinPageCells);
-}
-
-TEST(PageSize, AutoTuneBlockedByLivePin) {
-  CellStore flat(1, CellStore::Layout::kFullDense, 4000);
-  VersionedCellStore store(std::move(flat));
-  store.BeginServing();
-  VersionedCellStore::Snapshot snap = store.Pin();
-  // A live snapshot pins the page geometry; tuning must refuse quietly.
-  EXPECT_FALSE(store.AutoTunePageSize());
-  EXPECT_FALSE(store.AutoTunePageSize());
-  EXPECT_EQ(store.page_cells(), VersionedCellStore::kPageCells);
-  snap.Release();
-}
-
-// ---------------------------------------------------------------------------
-// Delta log with non-default page geometry (format v2).
-
-TEST(PageSize, DeltaLogRoundTripsNonDefaultPageSize) {
-  const std::string dir = ::testing::TempDir() + "/orion_dataplane_log";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-
-  CellStore flat(2, CellStore::Layout::kFullDense, 700);
-  for (i64 k = 0; k < 700; ++k) {
-    f32* v = flat.GetOrCreate(k);
-    v[0] = static_cast<f32>(k);
-    v[1] = static_cast<f32>(-k);
-  }
-  VersionedCellStore store(std::move(flat));
-  store.SetPageCells(64);  // delta records must carry this geometry
-  store.BeginServing();
-
-  auto writer = DeltaLogWriter::Open(dir, {/*compact_every=*/8});
-  ASSERT_TRUE(writer.ok()) << writer.status();
-  MasterRecord m0;
-  m0.next_pass = 0;
-  auto s0 = (*writer)->AppendCheckpoint(m0, {{"t", &store}});
-  ASSERT_TRUE(s0.ok()) << s0.status();
-  ASSERT_TRUE(store.delta_tracking_valid());
-
-  // Dirty two cells in distinct 64-cell pages; the delta record's page
-  // indices and spans are in units of the store's page size, not the
-  // default.
-  store.GetOrCreate(5)[0] = 42.0f;
-  store.GetOrCreate(650)[1] = -42.0f;
-  const CellMap snap1 = StoreSnapshot(store);
-  MasterRecord m1;
-  m1.next_pass = 1;
-  auto s1 = (*writer)->AppendCheckpoint(m1, {{"t", &store}});
-  ASSERT_TRUE(s1.ok()) << s1.status();
-  EXPECT_FALSE(s1->wrote_base);
-  EXPECT_EQ(s1->pages_deltad, 2u);
-
-  auto reader = DeltaLogReader::Open(dir);
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  auto at1 = reader->Latest();
-  ASSERT_TRUE(at1.ok()) << at1.status();
-  CellMap got;
-  at1->arrays.at("t").ForEachConst([&](i64 key, const f32* v) {
-    got[key].assign(v, v + 2);
-  });
-  EXPECT_TRUE(BitIdentical(snap1, got));
 }
 
 }  // namespace

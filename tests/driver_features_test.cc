@@ -50,13 +50,52 @@ TEST(DriverFeatures, CheckpointRestoreResumesTraining) {
   ASSERT_TRUE(app.Init(data, d.rows, d.cols).ok());
   ASSERT_TRUE(driver.Restore(app.w(), wpath).ok());
   ASSERT_TRUE(driver.Restore(app.h(), hpath).ok());
-  EXPECT_NEAR(*app.EvalLoss(), loss_at_ckpt, 1e-6 * loss_at_ckpt + 1e-6);
+  // The image is a byte-exact serialization, so the loss matches exactly.
+  EXPECT_EQ(*app.EvalLoss(), loss_at_ckpt);
   for (int p = 0; p < 4; ++p) {
     ASSERT_TRUE(app.RunPass().ok());
   }
   EXPECT_LT(*app.EvalLoss(), loss_at_ckpt);
   std::remove(wpath.c_str());
   std::remove(hpath.c_str());
+}
+
+// Restore rejects an image whose layout or cell extent differs from the
+// target array's with a Status, and leaves the array untouched; installing
+// it would CHECK-abort on the first access past the image's last cell.
+TEST(DriverFeatures, RestoreRejectsMismatchedLayoutOrExtent) {
+  const std::string path = ::testing::TempDir() + "/orion_ft_small.ckpt";
+  Driver driver(DriverConfig{});
+  const DistArrayId small = driver.CreateDistArray("v", {40}, 2, Density::kDense);
+  driver.MapCells(small, [](i64 key, f32* v) { v[0] = static_cast<f32>(key); });
+  ASSERT_TRUE(driver.Checkpoint(small, path).ok());
+
+  Driver other(DriverConfig{});
+  const DistArrayId big = other.CreateDistArray("v", {80}, 2, Density::kDense);
+  other.MapCells(big, [](i64 key, f32* v) { v[1] = static_cast<f32>(key); });
+  const Status extent = other.Restore(big, path);
+  EXPECT_EQ(extent.code(), StatusCode::kInvalidArgument) << extent;
+  EXPECT_NE(extent.message().find("extent"), std::string::npos) << extent;
+  EXPECT_EQ(other.Cells(big).NumCells(), 80);
+  EXPECT_EQ(other.Cells(big).Get(79)[1], 79.0f);
+
+  const DistArrayId sparse = other.CreateDistArray("v2", {40}, 2, Density::kSparse);
+  ASSERT_TRUE(other.Checkpoint(sparse, path).ok());  // an image of "v2", not "v"
+  EXPECT_EQ(other.Restore(big, path).code(), StatusCode::kInvalidArgument);
+
+  Driver third(DriverConfig{});
+  const DistArrayId hashed = third.CreateDistArray("v", {40}, 2, Density::kSparse);
+  ASSERT_TRUE(driver.Checkpoint(small, path).ok());
+  const Status layout = third.Restore(hashed, path);
+  EXPECT_EQ(layout.code(), StatusCode::kInvalidArgument) << layout;
+  EXPECT_NE(layout.message().find("layout"), std::string::npos) << layout;
+
+  // The same image restores into an array of the same shape.
+  Driver same(DriverConfig{});
+  const DistArrayId twin = same.CreateDistArray("v", {40}, 2, Density::kDense);
+  ASSERT_TRUE(same.Restore(twin, path).ok());
+  EXPECT_EQ(same.Cells(twin).Get(39)[0], 39.0f);
+  std::remove(path.c_str());
 }
 
 TEST(DriverFeatures, AutomaticRepartitionBetweenIncompatibleLoops) {

@@ -1,13 +1,9 @@
 // DSM primitives: key spaces, cell stores (all three layouts), partitions,
-// buffers, randomize, checkpointing.
+// buffers, randomize.
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <fstream>
 
 #include "src/common/rng.h"
 #include "src/dsm/cell_store.h"
-#include "src/dsm/checkpoint.h"
 #include "src/dsm/dist_array_buffer.h"
 #include "src/dsm/key_space.h"
 #include "src/dsm/partition.h"
@@ -290,40 +286,6 @@ TEST(Randomize, DeterministicInSeed) {
     differs = differs || a.Map(x) != c.Map(x);
   }
   EXPECT_TRUE(differs);
-}
-
-// ---- Checkpointing ----
-
-TEST(Checkpoint, Roundtrip) {
-  CellStore s(3, CellStore::Layout::kHashed, 0);
-  for (i64 k = 0; k < 100; ++k) {
-    s.GetOrCreate(k * 13)[1] = static_cast<f32>(k);
-  }
-  const std::string path = ::testing::TempDir() + "/orion_ckpt_test.bin";
-  ASSERT_TRUE(CheckpointWrite(path, s).ok());
-  auto back = CheckpointRead(path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->NumCells(), 100);
-  EXPECT_FLOAT_EQ(back->Get(13 * 7)[1], 7.0f);
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, MissingFileFails) {
-  auto result = CheckpointRead("/nonexistent/orion.ckpt");
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
-}
-
-TEST(Checkpoint, CorruptMagicRejected) {
-  const std::string path = ::testing::TempDir() + "/orion_bad_ckpt.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "not a checkpoint at all";
-  }
-  auto result = CheckpointRead(path);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -460,6 +460,22 @@ TEST(DurabilityE2E, DeltaBytesStayFarBelowFullCheckpoints) {
   EXPECT_EQ(points->back().pass, kPasses);
 }
 
+// Driver::Checkpoint reads the paged master in place: the next durable pass
+// still ships only the pages it dirtied, not a full array.
+TEST(DurabilityE2E, CheckpointLeavesDeltaTrackingIntact) {
+  WlOptions opt;
+  Workload wl(opt);
+  ASSERT_TRUE(wl.EnableLog(LogDir("ckpt_between"), /*compact_every=*/0).ok());
+  ASSERT_TRUE(wl.RunPasses(3).ok());
+  const u64 deltad = wl.driver().ExportMetrics().Counter("durability.pages_deltad");
+  ASSERT_GT(deltad, 0u);
+
+  const std::string path = LogDir("ckpt_between_file") + "/table_w.ckpt";
+  ASSERT_TRUE(wl.driver().Checkpoint(wl.table_w(), path).ok());
+  ASSERT_TRUE(wl.RunPasses(1).ok());
+  EXPECT_GT(wl.driver().ExportMetrics().Counter("durability.pages_deltad"), deltad);
+}
+
 TEST(DurabilityE2E, CompactionFoldsTheLog) {
   WlOptions opt;
   Workload wl(opt);

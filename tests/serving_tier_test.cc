@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -139,7 +140,6 @@ TEST(ServingTierStandalone, DirtyPagesTrackPublishDeltas) {
     *flat.GetOrCreate(k) = static_cast<f32>(k);
   }
   VersionedCellStore store(std::move(flat));
-  store.SetPageCells(256);
   store.BeginServing();
 
   // First publish after pagination: every page is new to its version.
@@ -552,6 +552,10 @@ ServerWorkload MakeServerWorkload(FaultPlan fault_plan = {}) {
 
 TEST(ServingTierChaos, WorkerCrashRejoinWithTierActive) {
   const std::string dir = ::testing::TempDir() + "/serve_rejoin";
+  // The delta-log writer adopts a log already in its directory; start both
+  // runs from empty ones.
+  std::filesystem::remove_all(dir + "_clean");
+  std::filesystem::remove_all(dir + "_chaos");
 
   ServerWorkload clean = MakeServerWorkload();
   {

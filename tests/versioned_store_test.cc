@@ -171,6 +171,60 @@ TEST(VersionedStore, AssignDropsPagesAndGoesFlat) {
   EXPECT_EQ(store.Get(2)[0], 9.0f);
 }
 
+// The same copy-on-write-under-pin writes and MergeAdd applied to a paged
+// store and to a plain CellStore give bit-identical contents, for dense and
+// hashed layouts spanning several pages; the pinned snapshot keeps the
+// pre-write contents bit for bit.
+TEST(VersionedStore, PagedWritesMatchFlatStore) {
+  constexpr i32 kDim = 3;
+  constexpr i64 kCells = 5 * kP + 220;  // six pages, last partial
+  for (bool dense : {true, false}) {
+    SCOPED_TRACE(dense ? "dense" : "hashed");
+    auto key_of = [dense](i64 k) { return dense ? k : k * 7 + 1; };
+    CellStore flat = dense ? CellStore(kDim, CellStore::Layout::kFullDense, kCells)
+                           : CellStore(kDim, CellStore::Layout::kHashed, 0);
+    Rng rng(0x9a6e5eedULL);
+    for (i64 k = 0; k < kCells; ++k) {
+      f32* v = flat.GetOrCreate(key_of(k));
+      for (i32 d = 0; d < kDim; ++d) {
+        v[d] = static_cast<f32>(rng.NextGaussian());
+      }
+    }
+    const CellStore before = flat;
+    VersionedCellStore store(flat);
+    store.BeginServing();
+    ASSERT_EQ(store.num_pages(), 6);
+
+    VersionedCellStore::Snapshot snap = store.Pin();
+    Rng wr(0x11ULL);
+    for (int i = 0; i < 300; ++i) {
+      const i64 key = key_of(wr.NextIndex(kCells));
+      for (f32* v : {store.GetOrCreate(key), flat.GetOrCreate(key)}) {
+        v[0] += 1.0f;
+        v[2] = static_cast<f32>(i);
+      }
+    }
+    CellStore updates(kDim, CellStore::Layout::kHashed, 0);
+    for (int i = 0; i < 100; ++i) {
+      updates.GetOrCreate(key_of(wr.NextIndex(kCells)))[1] = 0.25f;
+    }
+    store.MergeAdd(updates);
+    flat.MergeAdd(updates);
+    EXPECT_GT(store.stats().pages_cloned, 0u);
+
+    ASSERT_EQ(store.NumCells(), flat.NumCells());
+    const size_t bytes = kDim * sizeof(f32);
+    flat.ForEachConst([&](i64 key, const f32* want) {
+      ASSERT_NE(store.Get(key), nullptr) << "key " << key;
+      EXPECT_EQ(std::memcmp(store.Get(key), want, bytes), 0) << "key " << key;
+    });
+    before.ForEachConst([&](i64 key, const f32* want) {
+      EXPECT_EQ(std::memcmp(snap.Get(key), want, bytes), 0) << "snapshot key " << key;
+    });
+    snap.Release();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Integration: 1D chunked loops served from snapshots.
 //
