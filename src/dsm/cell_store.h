@@ -2,8 +2,8 @@
 //
 // Three layouts:
 //  - kHashed: holds an arbitrary subset of cells (sparse arrays, server
-//    shards, caches). Iteration order is insertion order, so executions are
-//    deterministic.
+//    shards, caches), found through a FlatIndex. Iteration order is
+//    insertion order, so executions are deterministic.
 //  - kDenseRange: holds the contiguous key range [lo, hi] of a dense array
 //    (range partitions and rotated partitions of dense parameter arrays).
 //    Constant-time, hash-free access — this is the hot path of kernels.
@@ -15,13 +15,14 @@
 #define ORION_SRC_DSM_CELL_STORE_H_
 
 #include <functional>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "src/common/serde.h"
 #include "src/common/simd.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
+#include "src/dsm/flat_index.h"
 
 namespace orion {
 
@@ -72,8 +73,8 @@ class CellStore {
           << "key" << key << "outside dense range [" << range_lo_ << "," << range_hi_ << "]";
       return values_.data() + static_cast<size_t>(key - range_lo_) * value_dim_;
     }
-    auto it = index_.find(key);
-    return it == index_.end() ? nullptr : values_.data() + it->second;
+    const i64 slot = index_.Find(key);
+    return slot < 0 ? nullptr : values_.data() + static_cast<size_t>(slot) * value_dim_;
   }
 
   // Returns a mutable span, inserting a zero-initialized cell if absent.
@@ -83,22 +84,20 @@ class CellStore {
           << "key" << key << "outside dense range [" << range_lo_ << "," << range_hi_ << "]";
       return values_.data() + static_cast<size_t>(key - range_lo_) * value_dim_;
     }
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      return values_.data() + it->second;
+    const i64 next = static_cast<i64>(keys_.size());
+    const i64 slot = index_.FindOrInsert(key, next);
+    if (slot == next) {
+      values_.resize(values_.size() + static_cast<size_t>(value_dim_), 0.0f);
+      keys_.push_back(key);
     }
-    const size_t offset = values_.size();
-    values_.resize(offset + static_cast<size_t>(value_dim_), 0.0f);
-    index_.emplace(key, offset);
-    keys_.push_back(key);
-    return values_.data() + offset;
+    return values_.data() + static_cast<size_t>(slot) * value_dim_;
   }
 
   bool Contains(i64 key) const {
     if (IsDense()) {
       return key >= range_lo_ && key <= range_hi_;
     }
-    return index_.find(key) != index_.end();
+    return index_.Find(key) >= 0;
   }
 
   // Visits cells in a deterministic order (insertion order for hashed,
@@ -156,7 +155,7 @@ class CellStore {
       return;
     }
     const size_t total = keys_.size() + static_cast<size_t>(additional_cells);
-    index_.reserve(total);
+    index_.Reserve(total);
     keys_.reserve(total);
     values_.reserve(total * static_cast<size_t>(value_dim_));
   }
@@ -184,7 +183,7 @@ class CellStore {
       values_.assign(values_.size(), 0.0f);
       return;
     }
-    index_.clear();
+    index_.Clear();
     keys_.clear();
     values_.clear();
   }
@@ -232,10 +231,8 @@ class CellStore {
     s.keys_ = r->GetVec<i64>();
     s.values_ = r->GetVec<f32>();
     ORION_CHECK(s.values_.size() == s.keys_.size() * static_cast<size_t>(value_dim));
-    s.index_.reserve(s.keys_.size());
-    for (size_t i = 0; i < s.keys_.size(); ++i) {
-      s.index_.emplace(s.keys_[i], i * static_cast<size_t>(value_dim));
-    }
+    const i64 dup = s.IndexKeys();
+    ORION_CHECK(dup < 0) << "cell store repeats key" << s.keys_[static_cast<size_t>(dup)];
     return s;
   }
 
@@ -285,9 +282,10 @@ class CellStore {
     CellStore s(*value_dim, Layout::kHashed, 0);
     s.keys_ = std::move(*keys);
     s.values_ = std::move(*values);
-    s.index_.reserve(s.keys_.size());
-    for (size_t i = 0; i < s.keys_.size(); ++i) {
-      s.index_.emplace(s.keys_[i], i * static_cast<size_t>(*value_dim));
+    const i64 dup = s.IndexKeys();
+    if (dup >= 0) {
+      return Status::InvalidArgument("cell store repeats key " +
+                                     std::to_string(s.keys_[static_cast<size_t>(dup)]));
     }
     return s;
   }
@@ -302,10 +300,6 @@ class CellStore {
     });
   }
 
-  size_t ApproxBytes() const {
-    return values_.size() * sizeof(f32) + keys_.size() * (sizeof(i64) + 16);
-  }
-
   // Contiguous backing span, in slot order (dense layouts: key order;
   // hashed: insertion order). Lets the versioned page store paginate and
   // collapse with bulk copies instead of per-cell lookups.
@@ -313,12 +307,24 @@ class CellStore {
   f32* raw_values_data() { return values_.data(); }
 
  private:
+  // Indexes keys_[i] -> slot i for a freshly deserialized hashed store.
+  // Returns the position of the first repeated key, or -1.
+  i64 IndexKeys() {
+    index_.Reserve(keys_.size());
+    for (size_t i = 0; i < keys_.size(); ++i) {
+      if (index_.FindOrInsert(keys_[i], static_cast<i64>(i)) != static_cast<i64>(i)) {
+        return static_cast<i64>(i);
+      }
+    }
+    return -1;
+  }
+
   i32 value_dim_ = 1;
   Layout layout_ = Layout::kHashed;
   i64 range_lo_ = 0;   // dense layouts: first key
   i64 range_hi_ = -1;  // dense layouts: last key (inclusive)
-  std::unordered_map<i64, size_t> index_;  // key -> offset into values_
-  std::vector<i64> keys_;                  // insertion order
+  FlatIndex index_;        // hashed layout: key -> slot (position in keys_)
+  std::vector<i64> keys_;  // insertion order
   std::vector<f32> values_;
 };
 

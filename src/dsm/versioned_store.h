@@ -42,7 +42,6 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -50,6 +49,7 @@
 #include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/dsm/cell_store.h"
+#include "src/dsm/flat_index.h"
 
 namespace orion {
 
@@ -67,7 +67,7 @@ class VersionedCellStore {
     std::vector<std::shared_ptr<Page>> pages;
   };
   struct IndexState {
-    std::unordered_map<i64, i64> slot_of;  // hashed layout: key -> slot
+    FlatIndex slot_of;  // hashed layout: key -> slot
   };
 
   // An immutable view of one published version. Move-only; releasing the
@@ -109,11 +109,10 @@ class VersionedCellStore {
             << "key" << key << "outside dense range [" << lo_ << "," << hi_ << "]";
         slot = key - lo_;
       } else {
-        auto it = index_->slot_of.find(key);
-        if (it == index_->slot_of.end()) {
+        slot = index_->slot_of.Find(key);
+        if (slot < 0) {
           return nullptr;
         }
-        slot = it->second;
       }
       const Page& p = *table_->pages[static_cast<size_t>(slot / kPageCells)];
       return p.v.data() + static_cast<size_t>(slot % kPageCells) * vdim_;
@@ -188,9 +187,9 @@ class VersionedCellStore {
     if (layout_ == CellStore::Layout::kHashed) {
       keys_ = flat_.keys();
       index_ = std::make_shared<IndexState>();
-      index_->slot_of.reserve(keys_.size());
+      index_->slot_of.Reserve(keys_.size());
       for (size_t i = 0; i < keys_.size(); ++i) {
-        index_->slot_of.emplace(keys_[i], static_cast<i64>(i));
+        index_->slot_of.FindOrInsert(keys_[i], static_cast<i64>(i));
       }
     }
     const i64 npages = (num_cells_ + kPageCells - 1) / kPageCells;
@@ -296,8 +295,10 @@ class VersionedCellStore {
           << "key" << key << "outside dense range [" << lo_ << "," << hi_ << "]";
       slot = key - lo_;
     } else {
-      auto it = index_->slot_of.find(key);
-      slot = it != index_->slot_of.end() ? it->second : InsertSlot(key);
+      slot = index_->slot_of.Find(key);
+      if (slot < 0) {
+        slot = InsertSlot(key);
+      }
     }
     return WritableSlot(slot);
   }
@@ -444,8 +445,7 @@ class VersionedCellStore {
           << "key" << key << "outside dense range [" << lo_ << "," << hi_ << "]";
       return key - lo_;
     }
-    auto it = index_->slot_of.find(key);
-    return it == index_->slot_of.end() ? -1 : it->second;
+    return index_->slot_of.Find(key);
   }
 
   const f32* SlotPtr(i64 slot) const {
@@ -490,8 +490,9 @@ class VersionedCellStore {
     return p.v.data() + static_cast<size_t>(slot % kPageCells) * vdim_;
   }
 
-  // Hashed insert while paged: clone the index (and possibly grow the table)
-  // under the same epoch rules, then hand the fresh slot to WritableSlot.
+  // Hashed insert while paged: clone the index (one flat array copy) and
+  // possibly grow the table under the same epoch rules, then hand the fresh
+  // slot to WritableSlot.
   i64 InsertSlot(i64 key) {
     if (index_epoch_ != pin_epoch_) {
       if (!NoLivePins()) {
@@ -514,7 +515,7 @@ class VersionedCellStore {
       dirty_.push_back(1);
       version_dirty_.push_back(1);
     }
-    index_->slot_of.emplace(key, slot);
+    index_->slot_of.FindOrInsert(key, slot);
     keys_.push_back(key);
     ++num_cells_;
     return slot;

@@ -9,6 +9,7 @@
 #include "src/common/logging.h"
 #include "src/common/simd.h"
 #include "src/common/timer.h"
+#include "src/dsm/bucket.h"
 #include "src/dsm/randomize.h"
 
 #include <fstream>
@@ -578,15 +579,21 @@ void Driver::DropFromWorkers(DistArrayId id) {
   }
 }
 
-void Driver::SendParts(DistArrayId array, std::map<std::pair<int, int>, CellStore>* parts,
-                       PartDataMode mode) {
-  for (auto& [key, cells] : *parts) {
-    const auto [worker, tau] = key;  // `worker` is a logical (schedule) index
+void Driver::SendParts(DistArrayId array, std::vector<std::optional<CellStore>>* parts,
+                       int time_parts, PartDataMode mode) {
+  for (size_t p = 0; p < parts->size(); ++p) {
+    std::optional<CellStore>& cells = (*parts)[p];
+    if (!cells.has_value()) {
+      continue;
+    }
+    // `worker` is a logical (schedule) index.
+    const int worker = time_parts > 0 ? static_cast<int>(p) / time_parts : static_cast<int>(p);
+    const int tau = time_parts > 0 ? static_cast<int>(p) % time_parts : -1;
     PartData pd;
     pd.array = array;
     pd.part = tau;
     pd.mode = mode;
-    pd.cells = std::move(cells);
+    pd.cells = std::move(*cells);
     Message m;
     m.from = kMasterRank;
     m.to = PhysicalOf(worker);
@@ -602,26 +609,31 @@ void Driver::ScatterIterSpace(const CompiledLoop& cl) {
   ArrayHost& h = Host(cl.spec.iter_space);
   const KeySpace& ks = h.meta.key_space;
 
-  // Collect keys in execution order: sorted for ordered loops (lexicographic
+  // Collect cells in execution order: sorted for ordered loops (lexicographic
   // serial semantics), shuffled for unordered loops.
-  std::vector<i64> keys;
-  keys.reserve(static_cast<size_t>(std::max<i64>(h.master.NumCells(), 0)));
-  h.master.ForEachConst([&](i64 key, const f32*) { keys.push_back(key); });
+  std::vector<CellRef> cells;
+  cells.reserve(static_cast<size_t>(std::max<i64>(h.master.NumCells(), 0)));
+  h.master.ForEachConstFast([&](i64 key, const f32* v) { cells.push_back({key, v}); });
   if (cl.spec.ordered) {
-    std::sort(keys.begin(), keys.end());
+    std::sort(cells.begin(), cells.end(),
+              [](const CellRef& a, const CellRef& b) { return a.key < b.key; });
   } else {
     // Seeded per array, not from a driver-lifetime stream: a re-scatter after
     // recovery must reproduce the same execution order.
     Rng rng(config_.seed * 0x9e3779b97f4a7c15ull + static_cast<u64>(h.meta.id) + 1);
-    for (size_t i = keys.size(); i-- > 1;) {
-      std::swap(keys[i], keys[rng.NextBounded(i + 1)]);
+    for (size_t i = cells.size(); i-- > 1;) {
+      std::swap(cells[i], cells[rng.NextBounded(i + 1)]);
     }
   }
 
-  std::map<std::pair<int, int>, CellStore> parts;
+  // Part (worker, tau) is index worker * time_parts + tau (worker for 1D),
+  // so ascending indices send in (worker, tau) order.
+  const int time_parts = cl.Is2D() ? cl.grid.time_splits.num_parts() : 0;
+  std::vector<u32> part_of;
+  part_of.reserve(cells.size());
   std::vector<i64> idx(static_cast<size_t>(ks.num_dims()));
-  for (i64 key : keys) {
-    ks.DecodeInto(key, idx);
+  for (const CellRef& cell : cells) {
+    ks.DecodeInto(cell.key, idx);
     i64 s;
     i64 t = 0;
     if (cl.plan.form == ParallelForm::k2DUnimodular) {
@@ -635,14 +647,13 @@ void Driver::ScatterIterSpace(const CompiledLoop& cl) {
       }
     }
     const int worker = cl.grid.space_splits.PartOf(s);
-    const int tau = cl.Is2D() ? cl.grid.time_splits.PartOf(t) : -1;
-    auto [it, inserted] = parts.try_emplace(
-        {worker, tau}, CellStore(h.meta.value_dim, CellStore::Layout::kHashed, 0));
-    f32* dst = it->second.GetOrCreate(key);
-    const f32* src = h.master.Get(key);
-    std::copy(src, src + h.meta.value_dim, dst);
+    part_of.push_back(static_cast<u32>(
+        time_parts > 0 ? worker * time_parts + cl.grid.time_splits.PartOf(t) : worker));
   }
-  SendParts(h.meta.id, &parts, PartDataMode::kInstallPart);
+  std::vector<std::optional<CellStore>> parts(static_cast<size_t>(
+      cl.grid.space_splits.num_parts() * std::max(time_parts, 1)));
+  BucketCells(cells, part_of, h.meta.value_dim, &parts);
+  SendParts(h.meta.id, &parts, time_parts, PartDataMode::kInstallPart);
 
   h.on_workers = true;
   h.placement = ArrayPlacement{PartitionScheme::kIterSpace, -1};
@@ -688,46 +699,51 @@ void Driver::ScatterArray(const CompiledLoop& cl, DistArrayId id,
     return;
   }
 
-  std::map<std::pair<int, int>, CellStore> parts;
+  // Part (worker, tau) is index worker * time_parts + tau (worker for a
+  // range placement), as in ScatterIterSpace.
+  const int time_parts =
+      placement.scheme == PartitionScheme::kSpaceTime ? cl.grid.time_splits.num_parts() : 0;
+  auto owner_of = [&](int tau) {
+    return cl.UsesWavefront() ? cl.sched_wave.InitialOwner(tau) : cl.sched_rot.InitialOwner(tau);
+  };
+  std::vector<std::optional<CellStore>> parts(static_cast<size_t>(
+      cl.grid.space_splits.num_parts() * std::max(time_parts, 1)));
   if (placement.scheme == PartitionScheme::kSpaceTime) {
     // Pre-create every time partition (the residency protocol requires even
     // empty partitions to circulate).
-    const int time_parts = cl.grid.time_splits.num_parts();
     for (int tau = 0; tau < time_parts; ++tau) {
-      const int owner = cl.UsesWavefront() ? cl.sched_wave.InitialOwner(tau)
-                                           : cl.sched_rot.InitialOwner(tau);
+      std::optional<CellStore>& part = parts[static_cast<size_t>(owner_of(tau) * time_parts + tau)];
       if (dense_blocks) {
         auto [lo, hi] = PartBounds(cl.grid.time_splits, tau, ks.dim(0));
-        parts.try_emplace({owner, tau}, CellStore::DenseRange(h.meta.value_dim, lo, hi));
+        part = CellStore::DenseRange(h.meta.value_dim, lo, hi);
       } else {
-        parts.try_emplace({owner, tau},
-                          CellStore(h.meta.value_dim, CellStore::Layout::kHashed, 0));
+        part.emplace(h.meta.value_dim, CellStore::Layout::kHashed, 0);
       }
     }
   } else if (dense_blocks) {
     for (int w = 0; w < cl.grid.space_splits.num_parts(); ++w) {
       auto [lo, hi] = PartBounds(cl.grid.space_splits, w, ks.dim(0));
-      parts.try_emplace({w, -1}, CellStore::DenseRange(h.meta.value_dim, lo, hi));
+      parts[static_cast<size_t>(w)] = CellStore::DenseRange(h.meta.value_dim, lo, hi);
     }
   }
-  h.master.ForEachConst([&](i64 key, const f32* v) {
+  std::vector<CellRef> cells;
+  std::vector<u32> part_of;
+  cells.reserve(static_cast<size_t>(std::max<i64>(h.master.NumCells(), 0)));
+  part_of.reserve(cells.capacity());
+  h.master.ForEachConstFast([&](i64 key, const f32* v) {
     const i64 coord = ks.Coord(key, placement.array_dim);
-    int worker;
-    int tau;
+    int part;
     if (placement.scheme == PartitionScheme::kRange) {
-      worker = cl.grid.space_splits.PartOf(coord);
-      tau = -1;
+      part = cl.grid.space_splits.PartOf(coord);
     } else {
-      tau = cl.grid.time_splits.PartOf(coord);
-      worker = cl.UsesWavefront() ? cl.sched_wave.InitialOwner(tau)
-                                  : cl.sched_rot.InitialOwner(tau);
+      const int tau = cl.grid.time_splits.PartOf(coord);
+      part = owner_of(tau) * time_parts + tau;
     }
-    auto [it, inserted] = parts.try_emplace(
-        {worker, tau}, CellStore(h.meta.value_dim, CellStore::Layout::kHashed, 0));
-    f32* dst = it->second.GetOrCreate(key);
-    std::copy(v, v + h.meta.value_dim, dst);
+    cells.push_back({key, v});
+    part_of.push_back(static_cast<u32>(part));
   });
-  SendParts(id, &parts,
+  BucketCells(cells, part_of, h.meta.value_dim, &parts);
+  SendParts(id, &parts, time_parts,
             placement.scheme == PartitionScheme::kRange ? PartDataMode::kInstallRange
                                                          : PartDataMode::kInstallPart);
 

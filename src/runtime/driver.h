@@ -21,6 +21,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -362,8 +363,10 @@ class Driver {
   void EnsureScattered(const CompiledLoop& cl);
   void ScatterIterSpace(const CompiledLoop& cl);
   void ScatterArray(const CompiledLoop& cl, DistArrayId id, const ArrayPlacement& placement);
-  void SendParts(DistArrayId array, std::map<std::pair<int, int>, CellStore>* parts,
-                 PartDataMode mode);
+  // Sends every present part; part p is (worker, tau) = (p / time_parts,
+  // p % time_parts), or (p, -1) when time_parts is 0.
+  void SendParts(DistArrayId array, std::vector<std::optional<CellStore>>* parts,
+                 int time_parts, PartDataMode mode);
 
   static bool GridEquals(const SpaceTimeGrid& a, const SpaceTimeGrid& b);
 

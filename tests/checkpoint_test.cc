@@ -4,12 +4,15 @@
 // missing, truncated, or corrupted files.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "src/common/durable_io.h"
 #include "src/dsm/cell_store.h"
 #include "src/dsm/delta_log.h"
 #include "src/dsm/versioned_store.h"
@@ -250,6 +253,48 @@ TEST(Checkpoint, FutureVersionIsRejected) {
   auto result = ReadOne(path);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("version"), std::string::npos);
+}
+
+// A hashed image whose key list repeats a key, with a valid checksum: the
+// reader rejects it naming the key, and Restore leaves the array untouched.
+TEST(Checkpoint, DuplicateHashedKeyIsRejected) {
+  const std::string path = TestPath("duplicate_key");
+  ASSERT_TRUE(WriteOne(path, MakeSparse()).ok());
+  std::vector<char> bytes = ReadAll(path);
+  // Frame header: magic u32, version u32, seq u64, size u64, crc u64.
+  const size_t payload = 2 * sizeof(u32) + 3 * sizeof(u64);
+  ASSERT_GT(bytes.size(), payload);
+  // Overwrite key 99 with key 17; MakeSparse's keys are small, so their
+  // 8-byte patterns appear once, in the key list.
+  const i64 from = 99;
+  const i64 to = 17;
+  auto it = std::search(bytes.begin() + static_cast<std::ptrdiff_t>(payload), bytes.end(),
+                        reinterpret_cast<const char*>(&from),
+                        reinterpret_cast<const char*>(&from) + sizeof(i64));
+  ASSERT_NE(it, bytes.end());
+  std::memcpy(&*it, &to, sizeof(i64));
+  // Re-seal the frame: crc = FNV-1a over {seq, size}, chained over the payload.
+  u8 hdr[2 * sizeof(u64)];
+  std::memcpy(hdr, bytes.data() + 2 * sizeof(u32), sizeof(hdr));
+  const u64 crc = Fnv1a64(reinterpret_cast<const u8*>(bytes.data()) + payload,
+                          bytes.size() - payload, Fnv1a64(hdr, sizeof(hdr)));
+  std::memcpy(bytes.data() + 2 * sizeof(u32) + 2 * sizeof(u64), &crc, sizeof(u64));
+  WriteAll(path, bytes);
+
+  auto result = ReadOne(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("repeats key 17"), std::string::npos)
+      << result.status().message();
+
+  Driver driver(DriverConfig{});
+  const DistArrayId a = driver.CreateDistArray("a", {1 << 21}, 3, Density::kSparse);
+  driver.MutableCells(a).GetOrCreate(5)[0] = 7.0f;
+  const Status s = driver.Restore(a, path);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_EQ(driver.MutableCells(a).NumCells(), 1);
+  EXPECT_EQ(driver.MutableCells(a).Get(5)[0], 7.0f);
+  std::remove(path.c_str());
 }
 
 }  // namespace

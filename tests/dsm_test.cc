@@ -1,9 +1,15 @@
-// DSM primitives: key spaces, cell stores (all three layouts), partitions,
-// buffers, randomize.
+// DSM primitives: key spaces, cell stores (all three layouts), the flat hash
+// index, partitions, bucketing, buffers, randomize.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
+#include <optional>
+
 #include "src/common/rng.h"
+#include "src/dsm/bucket.h"
 #include "src/dsm/cell_store.h"
+#include "src/dsm/flat_index.h"
 #include "src/dsm/dist_array_buffer.h"
 #include "src/dsm/key_space.h"
 #include "src/dsm/partition.h"
@@ -166,6 +172,195 @@ TEST(CellStore, SliceCoversExactlyOnce) {
   for (int v : visits) {
     EXPECT_EQ(v, 1);
   }
+}
+
+// ---- Flat hash index ----
+
+// Keys that stress the probe arithmetic: extremes, negatives, and strided runs
+// that share their low bits.
+i64 AdversarialKey(Rng& rng) {
+  switch (rng.NextBounded(5)) {
+    case 0:
+      return static_cast<i64>(rng.NextU64());  // any i64, often negative
+    case 1:
+      return std::numeric_limits<i64>::min() + static_cast<i64>(rng.NextBounded(4));
+    case 2:
+      return std::numeric_limits<i64>::max() - static_cast<i64>(rng.NextBounded(4));
+    case 3:
+      return static_cast<i64>(rng.NextBounded(1 << 16)) << 20;  // shared low bits
+    default:
+      return static_cast<i64>(rng.NextBounded(64)) - 32;
+  }
+}
+
+TEST(FlatIndex, GrowsAndFindsEveryKey) {
+  FlatIndex index;
+  EXPECT_EQ(index.Find(0), FlatIndex::kAbsent);
+  std::map<i64, i64> oracle;
+  Rng rng(7);
+  int resizes = 0;
+  size_t capacity = index.capacity();
+  while (oracle.size() < 20000) {
+    const i64 key = AdversarialKey(rng);
+    const i64 next = static_cast<i64>(oracle.size());
+    const auto [it, inserted] = oracle.try_emplace(key, next);
+    EXPECT_EQ(index.FindOrInsert(key, next), it->second);
+    EXPECT_EQ(index.size(), oracle.size());
+    if (index.capacity() != capacity) {
+      ++resizes;
+      capacity = index.capacity();
+    }
+  }
+  EXPECT_GE(resizes, 10);
+  for (const auto& [key, slot] : oracle) {
+    ASSERT_EQ(index.Find(key), slot) << "key " << key;
+  }
+  for (int i = 0; i < 2000; ++i) {
+    const i64 key = AdversarialKey(rng);
+    const auto it = oracle.find(key);
+    EXPECT_EQ(index.Find(key), it == oracle.end() ? FlatIndex::kAbsent : it->second);
+  }
+}
+
+// Every hashed CellStore operation against a std::map oracle, across many
+// index resizes, a Clear and reuse, and a Serialize/Deserialize round trip.
+TEST(CellStore, HashedMatchesMapOracle) {
+  constexpr i32 kDim = 2;
+  CellStore s(kDim, CellStore::Layout::kHashed, 0);
+  std::map<i64, f32> oracle;  // key -> value[0]; value[1] is always -value[0]
+  std::vector<i64> order;     // oracle insertion order
+  Rng rng(11);
+  for (int round = 0; round < 2; ++round) {
+    for (int step = 0; step < 100000; ++step) {
+      const i64 key = rng.NextBounded(4) == 0 && !order.empty()
+                          ? order[rng.NextBounded(order.size())]
+                          : AdversarialKey(rng);
+      switch (rng.NextBounded(8)) {
+        case 0:
+          EXPECT_EQ(s.Contains(key), oracle.count(key) == 1);
+          break;
+        case 1: {
+          const f32* v = s.Get(key);
+          const auto it = oracle.find(key);
+          ASSERT_EQ(v == nullptr, it == oracle.end()) << "key " << key;
+          if (v != nullptr) {
+            EXPECT_EQ(v[0], it->second);
+            EXPECT_EQ(v[1], -it->second);
+          }
+          break;
+        }
+        case 2:
+          s.Reserve(static_cast<i64>(rng.NextBounded(64)));
+          break;
+        default: {
+          const bool fresh = oracle.count(key) == 0;
+          f32* v = s.GetOrCreate(key);
+          if (fresh) {
+            EXPECT_EQ(v[0], 0.0f);
+            EXPECT_EQ(v[1], 0.0f);
+            order.push_back(key);
+          }
+          const f32 x = static_cast<f32>(step) + 0.5f;
+          v[0] = x;
+          v[1] = -x;
+          oracle[key] = x;
+        }
+      }
+      ASSERT_EQ(s.NumCells(), static_cast<i64>(oracle.size()));
+    }
+    ASSERT_GT(oracle.size(), 12288u);  // past ten doublings of a 16-bucket index
+    EXPECT_EQ(s.keys(), order);
+
+    ByteWriter w;
+    s.Serialize(&w);
+    const std::vector<u8> bytes = w.Take();
+    ByteReader r(bytes);
+    CellStore back = CellStore::Deserialize(&r);
+    ByteWriter w2;
+    back.Serialize(&w2);
+    EXPECT_EQ(w2.Take(), bytes);
+    for (const auto& [key, x] : oracle) {
+      const f32* v = back.Get(key);
+      ASSERT_NE(v, nullptr) << "key " << key;
+      EXPECT_EQ(v[0], x);
+    }
+
+    if (round == 0) {
+      // Clear keeps the index's capacity; the second round reuses it.
+      s.Clear();
+      oracle.clear();
+      order.clear();
+      EXPECT_EQ(s.NumCells(), 0);
+      EXPECT_FALSE(s.Contains(std::numeric_limits<i64>::min()));
+      EXPECT_EQ(s.Get(0), nullptr);
+    }
+  }
+
+  // A moved-from store is empty and reusable; the moved-to store kept it all.
+  CellStore moved = std::move(s);
+  EXPECT_EQ(moved.NumCells(), static_cast<i64>(oracle.size()));
+  EXPECT_EQ(moved.Get(order.front())[0], oracle.at(order.front()));
+  EXPECT_EQ(s.NumCells(), 0);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(s.Get(order.front()), nullptr);
+  s.GetOrCreate(order.front())[0] = 1.0f;
+  EXPECT_EQ(s.Get(order.front())[0], 1.0f);
+  EXPECT_EQ(s.NumCells(), 1);
+}
+
+// ---- Bucketing by partition ----
+
+// Each part gets exactly the stable filter of the input order; parts no cell
+// lands in stay absent unless they were pre-created, and pre-created dense
+// blocks are filled in place.
+TEST(BucketCells, EachPartIsTheStableFilterOfTheInput) {
+  Rng rng(3);
+  for (int trial = 0; trial < 50; ++trial) {
+    const size_t num_parts = 1 + rng.NextBounded(9);
+    const size_t n = rng.NextBounded(300);
+    std::vector<f32> values(n);
+    std::vector<CellRef> cells;
+    std::vector<u32> part_of;
+    for (size_t i = 0; i < n; ++i) {
+      values[i] = static_cast<f32>(i);
+      // Distinct keys in a shuffled-looking order.
+      cells.push_back({static_cast<i64>((i * 7919) % 100003) - 50000, &values[i]});
+      // Skewed part choice so some parts stay empty.
+      part_of.push_back(static_cast<u32>(rng.NextBounded(num_parts) * rng.NextBounded(2)));
+    }
+    std::vector<std::optional<CellStore>> parts(num_parts);
+    BucketCells(cells, part_of, 1, &parts);
+    for (size_t p = 0; p < num_parts; ++p) {
+      std::vector<i64> want;
+      for (size_t i = 0; i < n; ++i) {
+        if (part_of[i] == p) {
+          want.push_back(cells[i].key);
+        }
+      }
+      if (want.empty()) {
+        EXPECT_FALSE(parts[p].has_value()) << "empty part " << p << " emitted";
+        continue;
+      }
+      ASSERT_TRUE(parts[p].has_value());
+      EXPECT_EQ(parts[p]->keys(), want);
+      for (size_t i = 0; i < n; ++i) {
+        if (part_of[i] == p) {
+          EXPECT_EQ(parts[p]->Get(cells[i].key)[0], values[i]);
+        }
+      }
+    }
+  }
+
+  // A pre-created empty part survives; a pre-created dense block is filled.
+  std::vector<f32> v = {1.0f, 2.0f};
+  std::vector<std::optional<CellStore>> parts(3);
+  parts[0] = CellStore(1, CellStore::Layout::kHashed, 0);
+  parts[2] = CellStore::DenseRange(1, 10, 11);
+  BucketCells({{11, &v[0]}, {10, &v[1]}}, {2, 2}, 1, &parts);
+  ASSERT_TRUE(parts[0].has_value());
+  EXPECT_EQ(parts[0]->NumCells(), 0);
+  EXPECT_FALSE(parts[1].has_value());
+  EXPECT_EQ(parts[2]->Get(10)[0], 2.0f);
+  EXPECT_EQ(parts[2]->Get(11)[0], 1.0f);
 }
 
 // ---- RangeSplits / histograms ----

@@ -157,6 +157,38 @@ TEST(VersionedStore, HashedInsertInvisibleToOlderSnapshots) {
   EXPECT_EQ(back.Get(11)[0], 11.0f);
 }
 
+// Enough inserts under a live pin to grow the writer's index several times:
+// the pinned snapshot keeps resolving through its own copy.
+TEST(VersionedStore, HashedIndexGrowthUnderPinLeavesSnapshotIntact) {
+  constexpr i64 kOld = 300;
+  CellStore flat(1, CellStore::Layout::kHashed, 0);
+  for (i64 k = 0; k < kOld; ++k) {
+    *flat.GetOrCreate(-k * 1000003) = static_cast<f32>(k);
+  }
+  VersionedCellStore store(std::move(flat));
+  store.BeginServing();
+  VersionedCellStore::Snapshot snap = store.Pin();
+
+  constexpr i64 kNew = 4000;
+  for (i64 k = 0; k < kNew; ++k) {
+    *store.GetOrCreate(k * 1000003 + 1) = -1.0f;
+  }
+  *store.GetOrCreate(0) = 99.0f;  // an old key, rewritten after the growth
+  EXPECT_EQ(store.NumCells(), kOld + kNew);
+  for (i64 k = 0; k < kOld; ++k) {
+    const f32* v = snap.Get(-k * 1000003);
+    ASSERT_NE(v, nullptr) << "old key " << k;
+    EXPECT_EQ(v[0], static_cast<f32>(k));
+  }
+  for (i64 k = 0; k < kNew; ++k) {
+    ASSERT_EQ(snap.Get(k * 1000003 + 1), nullptr) << "new key " << k;
+    EXPECT_EQ(store.Get(k * 1000003 + 1)[0], -1.0f);
+  }
+  EXPECT_EQ(store.Get(0)[0], 99.0f);
+  snap.Release();
+  EXPECT_EQ(store.Flat().NumCells(), kOld + kNew);
+}
+
 TEST(VersionedStore, AssignDropsPagesAndGoesFlat) {
   CellStore flat(1, CellStore::Layout::kFullDense, kP);
   VersionedCellStore store(std::move(flat));
