@@ -8,8 +8,14 @@
 //   cached   — the recorded key lists are reused across passes (6.3 s).
 //
 // Paper shape: per-key is orders of magnitude slower; caching the prefetch
-// indices shaves the recording pass off bulk prefetching.
+// indices shaves the recording pass off bulk prefetching. With the recorded
+// key lists sort-uniqued in linear time, that recording pass is all that
+// separates bulk from cached, a gap small enough for pass-to-pass noise to
+// flip; each mode therefore times kTimedPasses passes and the shape checks
+// read their medians.
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/apps/slr.h"
@@ -18,9 +24,19 @@ namespace orion {
 namespace {
 
 constexpr int kWorkers = 4;
+constexpr int kTimedPasses = 10;
 
-double MeasurePass(const std::vector<SparseSample>& data, i64 features, PrefetchMode mode,
-                   int passes) {
+// Median and quartiles of one mode's per-pass modeled seconds.
+struct PassSeconds {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+};
+
+// Runs one untimed pass (cached mode records its key lists there), then
+// kTimedPasses timed ones.
+PassSeconds MeasurePasses(const std::vector<SparseSample>& data, i64 features,
+                          PrefetchMode mode) {
   DriverConfig cfg;
   cfg.num_workers = kWorkers;
   Driver driver(cfg);
@@ -28,14 +44,15 @@ double MeasurePass(const std::vector<SparseSample>& data, i64 features, Prefetch
   slr.loop_options.prefetch = mode;
   SlrApp app(&driver, slr);
   ORION_CHECK_OK(app.Init(data, features));
-  double total = 0.0;
-  for (int p = 0; p < passes; ++p) {
+  ORION_CHECK_OK(app.RunPass());
+  std::vector<double> secs;
+  for (int p = 0; p < kTimedPasses; ++p) {
     ORION_CHECK_OK(app.RunPass());
-    if (p > 0 || passes == 1) {  // cached mode: skip the recording pass
-      total += ModeledSeconds(app.last_metrics(), kWorkers);
-    }
+    secs.push_back(ModeledSeconds(app.last_metrics(), kWorkers));
   }
-  return passes == 1 ? total : total / (passes - 1);
+  std::sort(secs.begin(), secs.end());
+  const size_t n = secs.size();
+  return {(secs[(n - 1) / 2] + secs[n / 2]) / 2.0, secs[n / 4], secs[(3 * n) / 4]};
 }
 
 int Main() {
@@ -45,20 +62,21 @@ int Main() {
   const auto dcfg = KddLike();
   const auto data = GenerateSparseLr(dcfg);
 
-  const double per_key = MeasurePass(data, dcfg.num_features, PrefetchMode::kPerKey, 1);
-  const double bulk = MeasurePass(data, dcfg.num_features, PrefetchMode::kBulk, 3);
-  const double cached = MeasurePass(data, dcfg.num_features, PrefetchMode::kCached, 3);
+  const PassSeconds per_key = MeasurePasses(data, dcfg.num_features, PrefetchMode::kPerKey);
+  const PassSeconds bulk = MeasurePasses(data, dcfg.num_features, PrefetchMode::kBulk);
+  const PassSeconds cached = MeasurePasses(data, dcfg.num_features, PrefetchMode::kCached);
 
-  std::printf("mode,sec_per_pass\n");
-  std::printf("per_key,%.3f\n", per_key);
-  std::printf("bulk_prefetch,%.3f\n", bulk);
-  std::printf("cached_prefetch,%.3f\n", cached);
-  std::printf("speedup per_key->bulk: %.0fx, bulk->cached: %.2fx\n", per_key / bulk,
-              bulk / cached);
+  std::printf("mode,median_sec_per_pass,q1,q3 (%d passes each)\n", kTimedPasses);
+  std::printf("per_key,%.4f,%.4f,%.4f\n", per_key.median, per_key.q1, per_key.q3);
+  std::printf("bulk_prefetch,%.4f,%.4f,%.4f\n", bulk.median, bulk.q1, bulk.q3);
+  std::printf("cached_prefetch,%.4f,%.4f,%.4f\n", cached.median, cached.q1, cached.q3);
+  std::printf("speedup of medians per_key->bulk: %.0fx, bulk->cached: %.2fx\n",
+              per_key.median / bulk.median, bulk.median / cached.median);
 
   PrintShape("per-key remote access is orders of magnitude slower than bulk (>50x)",
-             per_key > 50.0 * bulk);
-  PrintShape("caching prefetch indices further reduces the pass time", cached < bulk);
+             per_key.median > 50.0 * bulk.median);
+  PrintShape("caching prefetch indices further reduces the pass time",
+             cached.median < bulk.median);
   return 0;
 }
 

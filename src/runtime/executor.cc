@@ -8,6 +8,7 @@
 #include "src/common/logging.h"
 #include "src/common/simd.h"
 #include "src/common/trace.h"
+#include "src/dsm/bucket.h"
 
 namespace orion {
 
@@ -102,6 +103,7 @@ class WorkerLoopContext : public LoopContext {
     PartitionScheme scheme = PartitionScheme::kUnpartitioned;
     Executor::ArrayState* st = nullptr;
     CellStore* store = nullptr;
+    std::vector<i64>* recorded = nullptr;  // RecordingLoopContext's key list
   };
 
   Resolved& Resolve(DistArrayId array) {
@@ -189,7 +191,10 @@ class RecordingLoopContext : public WorkerLoopContext {
 
  protected:
   const f32* ReadServer(Resolved& r, i64 key) override {
-    (*recorded_)[r.st->meta.id].push_back(key);
+    if (r.recorded == nullptr) {
+      r.recorded = &(*recorded_)[r.st->meta.id];  // map nodes never move
+    }
+    r.recorded->push_back(key);
     return nullptr;  // caller substitutes the zero span
   }
 
@@ -683,8 +688,7 @@ std::map<DistArrayId, std::vector<i64>> Executor::CollectPrefetchKeys(const Comp
       }
     }
     for (auto& [array, keys] : recorded) {
-      std::sort(keys.begin(), keys.end());
-      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+      SortUniqueKeys(&keys, &key_scratch_);
       if (cl.options.prefetch == PrefetchMode::kCached) {
         prefetch_key_cache_[{cl.loop_id, step, array}] = keys;
       }
@@ -876,8 +880,7 @@ void Executor::RepairSpeculative(const CompiledLoop& cl, const PrefetchSlot& slo
     if (bad.empty()) {
       continue;
     }
-    std::sort(bad.begin(), bad.end());
-    bad.erase(std::unique(bad.begin(), bad.end()), bad.end());
+    SortUniqueKeys(&bad, &key_scratch_);
     conflicts.emplace(array, std::move(bad));
   }
   if (conflicts.empty()) {

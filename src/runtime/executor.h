@@ -97,6 +97,15 @@ class Executor {
   // execution issues and awaits back to back; the pipelined path keeps up to
   // `prefetch_depth` steps in flight, so the await collapses to a buffer move
   // when replies already arrived.
+  //
+  // CollectPrefetchKeys returns, per server-hosted array, the keys the block
+  // reads, sorted ascending and unique (SortUniqueKeys, linear time). The
+  // order is load-bearing: a speculative slot's lists go to
+  // ArrayDirtyRanges::ConflictKeys, whose merge walk needs them strictly
+  // increasing; the kCached key cache stores and replays them as they are,
+  // so it inherits that contract; and the ParamServer gather copies cells in
+  // request-key order, so neighbouring keys share snapshot pages and the
+  // reply's insertion-ordered layout is the key order.
   std::map<DistArrayId, std::vector<i64>> CollectPrefetchKeys(const CompiledLoop& cl, int tau,
                                                               int step, int chunk,
                                                               int num_chunks);
@@ -191,6 +200,8 @@ class Executor {
   std::vector<f64> accum_;
   std::vector<AccumOp> accum_ops_;
   std::vector<f32> mutate_scratch_;
+  // SortUniqueKeys' second buffer, reused by every key list this worker sorts.
+  std::vector<i64> key_scratch_;
 
   // Cached prefetch key lists: (loop, tau, array) -> keys.
   std::map<std::tuple<i32, int, DistArrayId>, std::vector<i64>> prefetch_key_cache_;

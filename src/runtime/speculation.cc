@@ -1,6 +1,10 @@
 #include "src/runtime/speculation.h"
 
 #include <algorithm>
+#include <functional>
+
+#include "src/common/status.h"
+#include "src/dsm/bucket.h"
 
 namespace orion {
 
@@ -45,8 +49,8 @@ void ArrayDirtyRanges::AddKeys(std::vector<i64> keys) {
   if (all_dirty || keys.empty()) {
     return;
   }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  thread_local std::vector<i64> scratch;
+  SortUniqueKeys(&keys, &scratch);
 
   // Coalesce the new keys into intervals (adjacent keys fuse), then merge
   // with the existing sorted interval list.
@@ -88,6 +92,11 @@ bool ArrayDirtyRanges::Contains(i64 key) const {
 }
 
 std::vector<i64> ArrayDirtyRanges::ConflictKeys(const std::vector<i64>& sorted_keys) const {
+  // The merge walk below only moves forward: a key smaller than its
+  // predecessor would be tested against a later range and silently missed.
+  ORION_CHECK(std::adjacent_find(sorted_keys.begin(), sorted_keys.end(),
+                                 std::greater_equal<>()) == sorted_keys.end())
+      << "ConflictKeys needs a strictly increasing key list";
   if (all_dirty) {
     return sorted_keys;
   }

@@ -41,8 +41,10 @@ struct ArrayDirtyRanges {
 
   bool Contains(i64 key) const;
 
-  // Intersection with a sorted, deduplicated key list. all_dirty returns the
-  // whole list.
+  // Intersection with a strictly increasing key list (SortUniqueKeys output),
+  // found by one merge walk against the sorted ranges; CHECK-fails on any
+  // other list, which the walk would silently under-report. all_dirty
+  // returns the whole list.
   std::vector<i64> ConflictKeys(const std::vector<i64>& sorted_keys) const;
 
   void Serialize(ByteWriter* w) const;

@@ -2,6 +2,7 @@
 // index, partitions, bucketing, buffers, randomize.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <optional>
@@ -361,6 +362,89 @@ TEST(BucketCells, EachPartIsTheStableFilterOfTheInput) {
   EXPECT_FALSE(parts[1].has_value());
   EXPECT_EQ(parts[2]->Get(10)[0], 2.0f);
   EXPECT_EQ(parts[2]->Get(11)[0], 1.0f);
+}
+
+// ---- Sort-unique of key lists ----
+
+std::vector<i64> SortThenUnique(std::vector<i64> keys) {
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
+std::vector<i64> SortUnique(std::vector<i64> keys, std::vector<i64>* scratch) {
+  SortUniqueKeys(&keys, scratch);
+  return keys;
+}
+
+TEST(SortUniqueKeys, MatchesSortThenUniqueOnShapedLists) {
+  std::vector<i64> ascending;
+  std::vector<i64> descending;
+  for (i64 i = 0; i < 3000; ++i) {
+    ascending.push_back(i * 37 - 40000);       // spans three digit passes
+    descending.push_back(100000 - (i / 3));    // runs of three equal keys
+  }
+  const std::vector<std::vector<i64>> lists = {
+      {},
+      {42},
+      {-7},
+      {5, 5, 5, 5, 5},
+      {kI64Min, kI64Min, kI64Min},
+      ascending,
+      descending,
+      {-3, 5, -3, -100000, 7, 0, -1, -100000},
+      // The full range: every one of the eight digit passes runs.
+      {kI64Max, kI64Min, 0, -1, kI64Max, 1, kI64Min, kI64Max - 1, kI64Min + 1},
+      {kI64Max, kI64Max - 1, kI64Max},
+      {kI64Min + 1, kI64Min},
+      {255, 256, 0, 65535, 65536, 255},  // digit boundaries
+  };
+  std::vector<i64> scratch;
+  for (size_t i = 0; i < lists.size(); ++i) {
+    EXPECT_EQ(SortUnique(lists[i], &scratch), SortThenUnique(lists[i])) << "list " << i;
+  }
+}
+
+// Seeded random lists of 0 to 1e5 keys over narrow, SLR-sized, signed and
+// full-width ranges, all sorted through one scratch buffer whose size and
+// contents change between calls.
+TEST(SortUniqueKeys, MatchesSortThenUniqueOnRandomLists) {
+  Rng rng(19);
+  std::vector<i64> scratch;
+  for (int trial = 0; trial < 48; ++trial) {
+    const size_t n = trial % 6 == 5 ? 100000 : rng.NextBounded(trial % 2 == 0 ? 300 : 20000);
+    std::vector<i64> keys(n);
+    for (i64& k : keys) {
+      switch (trial % 4) {
+        case 0:
+          k = rng.NextIndex(50);  // mostly duplicates
+          break;
+        case 1:
+          k = rng.NextIndex(50000);  // SLR's feature range: two passes
+          break;
+        case 2:
+          k = rng.NextIndex(2000001) - 1000000;  // negative and positive
+          break;
+        default:
+          k = static_cast<i64>(rng.NextU64());  // any i64
+          break;
+      }
+    }
+    EXPECT_EQ(SortUnique(keys, &scratch), SortThenUnique(keys))
+        << "trial " << trial << ", " << n << " keys";
+  }
+}
+
+TEST(SortUniqueKeys, ReusesOneScratchAcrossSizes) {
+  Rng rng(7);
+  std::vector<i64> scratch(5000, -1);  // stale contents from an earlier caller
+  for (const size_t n : {3, 100000, 5, 0, 70000, 2, 1}) {
+    std::vector<i64> keys(n);
+    for (i64& k : keys) {
+      k = rng.NextIndex(1 << 20) - (1 << 19);
+    }
+    EXPECT_EQ(SortUnique(keys, &scratch), SortThenUnique(keys)) << n << " keys";
+  }
 }
 
 // ---- RangeSplits / histograms ----

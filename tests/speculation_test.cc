@@ -8,12 +8,17 @@
 // the controller's sticky fallback to synchronous under high conflict.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <set>
 #include <tuple>
 #include <vector>
 
+#include "src/common/rng.h"
+#include "src/dsm/bucket.h"
 #include "src/runtime/driver.h"
+#include "src/runtime/speculation.h"
 
 namespace orion {
 namespace {
@@ -300,6 +305,62 @@ TEST(Speculation, ChaosDropDupDelayStaysBitForBit) {
   EXPECT_TRUE(BitIdentical(ref.out_r, got.out_r));
   EXPECT_TRUE(BitIdentical(ref.out_c, got.out_c));
   EXPECT_GT(got.last.spec_issued, 0u);  // speculation stayed engaged under faults
+}
+
+// ---------------------------------------------------------------------------
+// The conflict check itself: a requested key list, shuffled with duplicates
+// and sort-uniqued the way the executor does, intersected with a step's dirty
+// ranges, against a brute-force scan of every range for every key.
+
+TEST(Speculation, ConflictKeysOfSortUniqueOutputMatchBruteForce) {
+  Rng rng(23);
+  std::vector<i64> scratch;
+  for (int trial = 0; trial < 40; ++trial) {
+    const i64 span = 1 + rng.NextIndex(trial % 2 == 0 ? 200 : 100000);
+    ArrayDirtyRanges dirty;
+    std::set<i64> written;
+    const i64 writes = rng.NextIndex(trial % 5 == 0 ? 3000 : 300);
+    for (int batch = 0; batch < 3; ++batch) {
+      std::vector<i64> keys;
+      for (i64 i = 0; i < writes; ++i) {
+        keys.push_back(rng.NextIndex(span) - span / 2);
+      }
+      written.insert(keys.begin(), keys.end());
+      dirty.AddKeys(keys);
+    }
+    std::vector<i64> requested;
+    for (i64 i = 0, n = rng.NextIndex(2000); i < n; ++i) {
+      requested.push_back(rng.NextIndex(span) - span / 2);
+    }
+    SortUniqueKeys(&requested, &scratch);
+
+    std::vector<i64> want;
+    for (const i64 k : requested) {
+      const bool hit = dirty.all_dirty ||
+                       std::any_of(dirty.ranges.begin(), dirty.ranges.end(), [&](const auto& r) {
+                         return r.first <= k && k <= r.second;
+                       });
+      if (hit) {
+        want.push_back(k);
+      }
+      // Over-approximation is allowed; missing a written key is not.
+      if (written.count(k) > 0) {
+        EXPECT_TRUE(hit) << "written key " << k << " outside every dirty range";
+      }
+    }
+    EXPECT_EQ(dirty.ConflictKeys(requested), want) << "trial " << trial;
+  }
+}
+
+// An unsorted or duplicated list would make the merge walk skip repairs, so
+// ConflictKeys refuses it outright.
+TEST(SpeculationDeathTest, ConflictKeysRejectsAListThatIsNotStrictlyIncreasing) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ArrayDirtyRanges dirty;
+  dirty.AddKeys({1, 2, 3});
+  EXPECT_EQ(dirty.ConflictKeys({0, 2, 5}), std::vector<i64>{2});
+  EXPECT_DEATH(dirty.ConflictKeys({5, 2}), "strictly increasing");
+  EXPECT_DEATH(dirty.ConflictKeys({2, 2}), "strictly increasing");
 }
 
 }  // namespace
