@@ -62,12 +62,9 @@ const char* RecvSpanName(MsgKind k) {
 
 }  // namespace
 
-Fabric::Fabric(int num_workers, NetCostModel cost_model, double stats_bucket_seconds)
-    : num_workers_(num_workers),
-      cost_model_(cost_model),
-      bucket_seconds_(stats_bucket_seconds) {
+Fabric::Fabric(int num_workers, NetCostModel cost_model)
+    : num_workers_(num_workers), cost_model_(cost_model) {
   ORION_CHECK(num_workers > 0);
-  ORION_CHECK(stats_bucket_seconds > 0.0);
   inboxes_.reserve(static_cast<size_t>(num_workers) + 1);
   for (int i = 0; i < num_workers + 1; ++i) {
     inboxes_.push_back(std::make_unique<BlockingQueue<Message>>());
@@ -94,11 +91,6 @@ double Fabric::Meter(const Message& msg) {
       zero_copy_bytes_ += wire;
     }
     virtual_net_seconds_ += cost;
-    const auto bucket = static_cast<size_t>(clock_.ElapsedSeconds() / bucket_seconds_);
-    if (bytes_per_bucket_.size() <= bucket) {
-      bytes_per_bucket_.resize(bucket + 1, 0);
-    }
-    bytes_per_bucket_[bucket] += wire;
   }
   if (cost_model_.charge_real_time && cost > 0.0) {
     std::this_thread::sleep_for(std::chrono::duration<double>(cost));
@@ -171,8 +163,6 @@ FabricStats Fabric::Stats() const {
   s.bytes_sent = bytes_sent_;
   s.zero_copy_bytes = zero_copy_bytes_;
   s.virtual_net_seconds = virtual_net_seconds_;
-  s.bytes_per_bucket = bytes_per_bucket_;
-  s.bucket_seconds = bucket_seconds_;
   return s;
 }
 
@@ -182,7 +172,6 @@ void Fabric::ResetStats() {
   bytes_sent_ = 0;
   zero_copy_bytes_ = 0;
   virtual_net_seconds_ = 0.0;
-  bytes_per_bucket_.clear();
 }
 
 }  // namespace orion

@@ -4,9 +4,6 @@
 // Links are in-order and reliable. All payloads are serialized bytes, so
 // nothing structured is shared between endpoints: the worker model is
 // share-nothing even though workers are threads.
-//
-// The fabric meters traffic into fixed-width time buckets, which reproduces
-// the paper's Fig. 12 (bandwidth usage over time).
 #ifndef ORION_SRC_NET_FABRIC_H_
 #define ORION_SRC_NET_FABRIC_H_
 
@@ -17,7 +14,6 @@
 #include <vector>
 
 #include "src/common/blocking_queue.h"
-#include "src/common/timer.h"
 #include "src/common/types.h"
 #include "src/net/cost_model.h"
 #include "src/net/fault_injector.h"
@@ -30,16 +26,12 @@ struct FabricStats {
   u64 bytes_sent = 0;
   u64 zero_copy_bytes = 0;  // subset of bytes_sent that skipped Encode/Decode
   double virtual_net_seconds = 0.0;  // accumulated modeled cost
-  // Bytes sent per time bucket since fabric creation (wall clock).
-  std::vector<u64> bytes_per_bucket;
-  double bucket_seconds = 0.0;
 };
 
 class Fabric {
  public:
   // num_workers worker endpoints plus one master endpoint (kMasterRank).
-  explicit Fabric(int num_workers, NetCostModel cost_model = NetCostModel::Unlimited(),
-                  double stats_bucket_seconds = 1.0);
+  explicit Fabric(int num_workers, NetCostModel cost_model = NetCostModel::Unlimited());
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -94,8 +86,6 @@ class Fabric {
   // briefly, reads nothing else).
   size_t InboxDepth(WorkerId rank) { return InboxFor(rank).Size(); }
 
-  double ElapsedSeconds() const { return clock_.ElapsedSeconds(); }
-
  private:
   BlockingQueue<Message>& InboxFor(WorkerId rank);
   // Meters the message (stats + modeled cost, optionally charged as real
@@ -108,9 +98,7 @@ class Fabric {
   std::shared_ptr<FaultInjector> injector_;
   int num_workers_;
   NetCostModel cost_model_;
-  double bucket_seconds_;
   bool zero_copy_ = false;
-  Stopwatch clock_;
 
   std::vector<std::unique_ptr<BlockingQueue<Message>>> inboxes_;  // [0]=master, [1+i]=worker i
 
@@ -119,7 +107,6 @@ class Fabric {
   u64 bytes_sent_ = 0;
   u64 zero_copy_bytes_ = 0;
   double virtual_net_seconds_ = 0.0;
-  std::vector<u64> bytes_per_bucket_;
 };
 
 }  // namespace orion

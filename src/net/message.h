@@ -3,6 +3,7 @@
 #define ORION_SRC_NET_MESSAGE_H_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/common/types.h"
@@ -59,6 +60,18 @@ struct Message {
     return kHeaderBytes + (zc != nullptr ? zc->EncodedSize() : payload.size());
   }
 };
+
+// A message with a serialized (or empty) payload; senders set `tag` or `zc`
+// on it when they need them.
+inline Message MakeMessage(WorkerId from, WorkerId to, MsgKind kind,
+                           std::vector<u8> payload = {}) {
+  Message m;
+  m.from = from;
+  m.to = to;
+  m.kind = kind;
+  m.payload = std::move(payload);
+  return m;
+}
 
 }  // namespace orion
 

@@ -132,13 +132,17 @@ struct CompiledLoop {
                            : sched_rot.TimePartAt(worker, step);
   }
 
-  // Applies the plan's unimodular transform to an iteration index (identity
-  // for non-transformed loops). Only 2D index spaces are transformed.
-  std::pair<i64, i64> ToScheduleCoords(i64 p0, i64 p1) const {
-    if (plan.form != ParallelForm::k2DUnimodular) {
-      return {p0, p1};
+  // (space, time) schedule coordinates of an iteration index: the plan's
+  // space and time dimensions, after its unimodular transform for
+  // transformed loops (only 2D index spaces are transformed). Time is 0 for
+  // 1D loops.
+  std::pair<i64, i64> ScheduleCoordsOf(IdxSpan idx) const {
+    if (plan.form == ParallelForm::k2DUnimodular) {
+      const auto [q0, q1] = plan.transform.Apply(idx[0], idx[1]);
+      return {plan.space_dim == 0 ? q0 : q1, plan.time_dim == 0 ? q0 : q1};
     }
-    return plan.transform.Apply(p0, p1);
+    return {idx[static_cast<size_t>(plan.space_dim)],
+            plan.time_dim >= 0 ? idx[static_cast<size_t>(plan.time_dim)] : 0};
   }
 
   const ArrayPlacement& PlacementOf(DistArrayId array) const {

@@ -18,6 +18,7 @@
 #ifndef ORION_SRC_RUNTIME_DRIVER_H_
 #define ORION_SRC_RUNTIME_DRIVER_H_
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -52,7 +53,6 @@ namespace orion {
 struct DriverConfig {
   int num_workers = 4;
   NetCostModel net = NetCostModel::Unlimited();
-  double stats_bucket_seconds = 0.5;
   u64 seed = 1;
   // In-process fast path: DistArray payloads travel by shared pointer
   // instead of Encode/Decode. The fabric still meters the exact encoded
@@ -326,17 +326,30 @@ class Driver {
   WorkerId PhysicalOf(int logical) const {
     return static_cast<WorkerId>(live_ranks_[static_cast<size_t>(logical)]);
   }
-  bool IsLive(WorkerId physical) const;
+  int LogicalOf(int physical) const {
+    return static_cast<int>(std::find(live_ranks_.begin(), live_ranks_.end(), physical) -
+                            live_ranks_.begin());
+  }
+  bool IsLive(WorkerId physical) const { return LogicalOf(physical) < ActiveWorkers(); }
 
-  // Master-side service handlers.
+  // Master-side service loop: one handler per MsgKind, each reading and
+  // writing the pass attempt's PassState (defined in driver.cc).
   struct PassOutcome {
     bool completed = true;
     int lost_rank = -1;  // physical rank declared dead when !completed
   };
+  struct PassState;
   PassOutcome ServicePassMessages(const CompiledLoop& cl, i32 pass);
   PassOutcome RunPassOnce(i32 loop_id);  // one supervised pass attempt
-  // Synchronous serving path (async_param_serving off).
-  void ServeParamRequestInline(const ParamRequest& req, WorkerId from);
+  // Death deadlines, kStartPass retransmits and heartbeats; returns the
+  // physical rank to declare dead, or -1.
+  int SuperviseTick(PassState& ps);
+  void OnParamRequest(PassState& ps, Message& msg);
+  void OnParamUpdate(PassState& ps, Message& msg);
+  void OnPartitionData(PassState& ps, Message& msg);
+  void OnBarrier(PassState& ps, Message& msg);
+  void OnControl(PassState& ps, Message& msg);
+  void ObserveStragglerRound(const std::vector<std::pair<int, double>>& round, i32 pass);
 
   // Recovery machinery.
   Status WriteRecoveryCheckpoint();
@@ -344,17 +357,20 @@ class Driver {
   Status RecompileLoops();
   MasterRecord BuildMasterRecord() const;
   std::vector<ArrayCheckpointRef> DurableArrayRefs();
-  // Installs a materialized log state into the master (arrays, accumulators;
-  // `restore_pass_counter` additionally rewinds pass_counter_).
+  // Installs a materialized log state into the master (arrays, accumulators,
+  // completed-pass count; `restore_pass_counter` additionally rewinds
+  // pass_counter_ to it).
   Status InstallLogState(DeltaLogReader::State state, bool restore_pass_counter);
-  // Two-phase kRejoin broadcast of the current live_ranks_ ring to all
-  // members, with reliable acks: every member adopts the (re-)expanded
-  // configuration and drops local array state for the re-scatter.
-  Status BroadcastReconfigure();
+  // Two-phase reconfigure of the current live_ranks_ ring, with reliable
+  // acks: every member adopts the ring (kRetire shrinks it after a failure,
+  // kRejoin re-expands or resets it) and drops local array state for the
+  // re-scatter. `also_retire` (when >= 0) is a rank outside the ring that
+  // gets a best-effort phase-0 retire; returns whether it acked.
+  StatusOr<bool> Reconfigure(ControlOp op, int also_retire = -1);
   // Brings `rank` back after the N-1 retire: restarts its executor thread if
   // it halted, re-inserts it into live_ranks_, and reconfigures.
   Status RejoinWorker(int rank, bool saw_phase0_ack);
-  void ApplyParamUpdate(const CompiledLoop* cl, PartData pd, u32 tag);
+  void ApplyParamUpdate(const CompiledLoop& cl, PartData pd, u32 tag);
   void BroadcastReplicaSnapshot(const CompiledLoop& cl, DistArrayId array);
 
   // Placement management.
@@ -415,7 +431,11 @@ class Driver {
   LoopMetrics last_metrics_;
   RuntimeMetrics runtime_metrics_;
   std::map<DistArrayId, u32> last_replica_bcast_tag_;
-  int pass_counter_ = 0;
+  int pass_counter_ = 0;  // pass numbers issued, aborted attempts included
+  // Passes completed on the current history: what checkpoints record as
+  // next_pass, so RestoreToPass and ResumeFromLog count passes the way the
+  // driver program does even after a crash burned a pass number.
+  int completed_passes_ = 0;
 
   // Speculation controller (per loop, ordered schedules): how many steps
   // ahead executors may fetch against a possibly-stale snapshot. Deepens

@@ -12,14 +12,6 @@
 
 namespace orion {
 
-namespace {
-
-// Tags for rotated-partition messages double as the time-partition index
-// (plus one so tag 0 stays "untagged").
-u32 PartTag(int tau) { return static_cast<u32>(tau + 1); }
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Loop contexts
 
@@ -326,11 +318,7 @@ void Executor::ProcessRetire(const Message& msg) {
   ack.phase = t.phase;
   ack.is_ack = true;
   ack.logical_rank = logical_rank_;
-  Message m;
-  m.from = rank_;
-  m.to = kMasterRank;
-  m.kind = MsgKind::kControl;
-  m.payload = ack.Encode();
+  Message m = MakeMessage(rank_, kMasterRank, MsgKind::kControl, ack.Encode());
   fabric_->SendReliable(std::move(m));
 }
 
@@ -366,11 +354,7 @@ void Executor::Dispatch(Message& msg) {
       pong.seq = ping.seq;
       pong.last_started_pass = current_pass_ >= 0 ? current_pass_ : last_completed_pass_;
       pong.last_completed_pass = last_completed_pass_;
-      Message m;
-      m.from = rank_;
-      m.to = kMasterRank;
-      m.kind = MsgKind::kControl;
-      m.payload = pong.Encode();
+      Message m = MakeMessage(rank_, kMasterRank, MsgKind::kControl, pong.Encode());
       fabric_->SendReliable(std::move(m));
       return;
     }
@@ -542,10 +526,7 @@ void Executor::Barrier(i32 pass, int step) {
       arrival.span_seq = ++span_batch_seq_;
     }
   }
-  Message m;
-  m.from = rank_;
-  m.to = kMasterRank;
-  m.kind = MsgKind::kBarrier;
+  Message m = MakeMessage(rank_, kMasterRank, MsgKind::kBarrier);
   m.tag = static_cast<u32>(step);
   m.payload = arrival.Encode();
   fabric_->Send(std::move(m));
@@ -586,10 +567,7 @@ void Executor::Barrier(i32 pass, int step) {
       record_release();
       return;
     }
-    Message again;
-    again.from = rank_;
-    again.to = kMasterRank;
-    again.kind = MsgKind::kBarrier;
+    Message again = MakeMessage(rank_, kMasterRank, MsgKind::kBarrier);
     again.tag = static_cast<u32>(step);
     again.payload = arrival.Encode();
     fabric_->SendReliable(std::move(again));
@@ -600,7 +578,7 @@ void Executor::Barrier(i32 pass, int step) {
       // them small instead of re-shipping the batch every backoff.
       arrival.spans.clear();
     }
-    backoff *= sup_.retry_backoff_factor;
+    backoff *= kRetryBackoffFactor;
   }
 }
 
@@ -763,10 +741,7 @@ void Executor::IssuePrefetch(const CompiledLoop& cl, int tau, int step, int chun
       ParamRequest req{array, step, keys};
       req.per_key = true;
       req.speculative = speculative;
-      Message m;
-      m.from = rank_;
-      m.to = kMasterRank;
-      m.kind = MsgKind::kParamRequest;
+      Message m = MakeMessage(rank_, kMasterRank, MsgKind::kParamRequest);
       MeterAsPerKeyRequests(&m, req);
       AttachParamRequest(&m, std::move(req), fabric_->zero_copy());
       SendData(std::move(m));
@@ -774,10 +749,7 @@ void Executor::IssuePrefetch(const CompiledLoop& cl, int tau, int step, int chun
     } else {
       ParamRequest req{array, step, keys};
       req.speculative = speculative;
-      Message m;
-      m.from = rank_;
-      m.to = kMasterRank;
-      m.kind = MsgKind::kParamRequest;
+      Message m = MakeMessage(rank_, kMasterRank, MsgKind::kParamRequest);
       AttachParamRequest(&m, std::move(req), fabric_->zero_copy());
       SendData(std::move(m));
       ++slot.expected;
@@ -901,10 +873,7 @@ void Executor::RepairSpeculative(const CompiledLoop& cl, const PrefetchSlot& slo
     repair.buffers.emplace(array,
                            CellStore(st.meta.value_dim, CellStore::Layout::kHashed, 0));
     ParamRequest req{array, slot.step, std::move(keys)};
-    Message m;
-    m.from = rank_;
-    m.to = kMasterRank;
-    m.kind = MsgKind::kParamRequest;
+    Message m = MakeMessage(rank_, kMasterRank, MsgKind::kParamRequest);
     AttachParamRequest(&m, std::move(req), fabric_->zero_copy());
     SendData(std::move(m));
     ++repair.expected;
@@ -971,10 +940,7 @@ void Executor::StepFlush(const CompiledLoop& cl, int tau, int step) {
     pd.mode = PartDataMode::kOverwrite;
     pd.cells = std::move(st.server_dirty);
     st.server_dirty = CellStore(st.meta.value_dim, CellStore::Layout::kHashed, 0);
-    Message m;
-    m.from = rank_;
-    m.to = kMasterRank;
-    m.kind = MsgKind::kParamUpdate;
+    Message m = MakeMessage(rank_, kMasterRank, MsgKind::kParamUpdate);
     m.tag = static_cast<u32>(step);
     AttachPart(&m, std::move(pd), fabric_->zero_copy());
     SendData(std::move(m));
@@ -1010,10 +976,7 @@ void Executor::StepFlush(const CompiledLoop& cl, int tau, int step) {
         pd.part = -1;
         pd.mode = PartDataMode::kApplyBufferUdf;
         pd.cells = buf->Drain();
-        Message m;
-        m.from = rank_;
-        m.to = kMasterRank;
-        m.kind = MsgKind::kParamUpdate;
+        Message m = MakeMessage(rank_, kMasterRank, MsgKind::kParamUpdate);
         m.tag = static_cast<u32>(step);
         AttachPart(&m, std::move(pd), fabric_->zero_copy());
         SendData(std::move(m));
@@ -1047,10 +1010,7 @@ void Executor::FlushServerBuffers(const CompiledLoop& cl) {
     pd.part = -1;
     pd.mode = PartDataMode::kApplyBufferUdf;
     pd.cells = buf->Drain();
-    Message m;
-    m.from = rank_;
-    m.to = kMasterRank;
-    m.kind = MsgKind::kParamUpdate;
+    Message m = MakeMessage(rank_, kMasterRank, MsgKind::kParamUpdate);
     AttachPart(&m, std::move(pd), fabric_->zero_copy());
     SendData(std::move(m));
   }
@@ -1081,10 +1041,7 @@ void Executor::SendRotatedParts(const CompiledLoop& cl, int tau) {
     pd.mode = PartDataMode::kInstallPart;
     pd.cells = std::move(it->second);
     st.parts.erase(it);
-    Message m;
-    m.from = rank_;
-    m.to = dest;
-    m.kind = MsgKind::kPartitionData;
+    Message m = MakeMessage(rank_, dest, MsgKind::kPartitionData);
     m.tag = PartTag(tau);
     AttachPart(&m, std::move(pd), fabric_->zero_copy());
     SendData(std::move(m));
@@ -1330,11 +1287,7 @@ void Executor::RunPass(i32 loop_id, i32 pass, int spec_depth) {
       done.spans.insert(done.spans.end(), extra.begin(), extra.end());
     }
   }
-  Message m;
-  m.from = rank_;
-  m.to = kMasterRank;
-  m.kind = MsgKind::kControl;
-  m.payload = done.Encode();
+  Message m = MakeMessage(rank_, kMasterRank, MsgKind::kControl, done.Encode());
   cached_pass_done_ = m;  // re-answer if the master retransmits kStartPass
   last_completed_pass_ = pass;
   current_pass_ = -1;
@@ -1353,10 +1306,7 @@ void Executor::HandleGather(DistArrayId array) {
   pd.part = -1;
   pd.mode = PartDataMode::kOverwrite;
   pd.cells = std::move(merged);
-  Message m;
-  m.from = rank_;
-  m.to = kMasterRank;
-  m.kind = MsgKind::kParamUpdate;
+  Message m = MakeMessage(rank_, kMasterRank, MsgKind::kParamUpdate);
   AttachPart(&m, std::move(pd), fabric_->zero_copy());
   fabric_->Send(std::move(m));  // between passes: the comm thread is idle
   DropArray(array);

@@ -265,6 +265,10 @@ struct PartData {
   }
 };
 
+// Tags for rotated-partition messages double as the time-partition index
+// (plus one so tag 0 stays "untagged").
+inline u32 PartTag(int tau) { return static_cast<u32>(tau + 1); }
+
 // Zero-copy carrier for PartData (kPartitionData / kParamReply /
 // kParamUpdate): the struct travels by shared pointer, skipping
 // Encode/Decode, while the fabric still charges the exact encoded size.

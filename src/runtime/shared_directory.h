@@ -49,6 +49,10 @@ inline f64 AccumCombine(AccumOp op, f64 a, f64 b) {
   return a + b;
 }
 
+// Growth of the retransmit backoff after each unanswered send: the master's
+// kStartPass retries and the executors' barrier-arrival resends.
+inline constexpr double kRetryBackoffFactor = 2.0;
+
 // Supervision parameters, shared master -> executors before the worker
 // threads start. Timeouts are wall-clock; pick generous values under
 // sanitizers. death_timeout must exceed the longest uninterrupted compute
@@ -58,9 +62,6 @@ struct SupervisorConfig {
   double heartbeat_interval_seconds = 0.05;  // master ping cadence per worker
   double death_timeout_seconds = 2.0;        // silence before a worker is declared dead
   double retry_initial_seconds = 0.05;       // first retransmit backoff
-  double retry_backoff_factor = 2.0;
-  int max_retries = 10;                      // per worker per pass
-  int max_recovery_attempts = 8;             // per Execute call
   // Extra silence tolerated for a worker that was just sent bulk state
   // (scatter parts, replica snapshots, rejoin streams) and has not spoken
   // since: installing a large transfer can exceed death_timeout_seconds, and

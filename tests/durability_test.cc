@@ -588,6 +588,14 @@ TEST(DurabilityE2E, WorkerCrashRejoinsAndMatchesCleanRunBitForBit) {
 
   EXPECT_TRUE(BitIdentical(want, chaos.SnapshotW()));
   EXPECT_EQ(want_acc, chaos.Accum());
+
+  // Rewind the rejoined cluster to pass 3 and retrain: retire, rejoin and
+  // the restore's reconfigure all ran on one driver, which must again land
+  // where the clean run did.
+  ASSERT_TRUE(chaos.driver().RestoreToPass(3).ok());
+  ASSERT_TRUE(chaos.RunPasses(2).ok());
+  EXPECT_TRUE(BitIdentical(want, chaos.SnapshotW()));
+  EXPECT_EQ(want_acc, chaos.Accum());
 }
 
 // ---- Satellite: no false-positive death during long state transfers ----

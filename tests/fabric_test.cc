@@ -77,14 +77,6 @@ TEST(Fabric, ResetStatsClears) {
   EXPECT_EQ(fabric.Stats().messages_sent, 0u);
 }
 
-TEST(Fabric, BucketsTrackTraffic) {
-  Fabric fabric(1, NetCostModel::Unlimited(), /*stats_bucket_seconds=*/10.0);
-  fabric.Send(Make(kMasterRank, 0, 0, 100));
-  const auto stats = fabric.Stats();
-  ASSERT_FALSE(stats.bytes_per_bucket.empty());
-  EXPECT_EQ(stats.bytes_per_bucket[0], 132u);
-}
-
 TEST(Fabric, ShutdownUnblocksReceivers) {
   Fabric fabric(1);
   std::thread receiver([&] { EXPECT_FALSE(fabric.Recv(0).has_value()); });
