@@ -125,15 +125,15 @@ SerdePoint BenchSerde() {
   }
   // Warm the cache so the measured window is steady state.
   for (int i = 0; i < 4; ++i) {
-    BufferPool::Release(pd.Encode());
+    BufferPool::Release(Encode(pd));
   }
   BufferPool::ResetStatsForTest();
   size_t bytes = 0;
   Stopwatch sw;
   for (int i = 0; i < kMessages; ++i) {
-    std::vector<u8> payload = pd.Encode();
+    std::vector<u8> payload = Encode(pd);
     bytes += payload.size();
-    PartData back = PartData::Decode(payload);
+    PartData back = Decode<PartData>(payload);
     ORION_CHECK(back.cells.NumCells() == kPartCells);
     BufferPool::Release(std::move(payload));
   }

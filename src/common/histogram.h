@@ -10,7 +10,6 @@
 #include <cmath>
 #include <vector>
 
-#include "src/common/serde.h"
 #include "src/common/types.h"
 
 namespace orion {
@@ -103,22 +102,12 @@ struct WaitHistogram {
     return max_seconds;
   }
 
-  void Serialize(ByteWriter* w) const {
-    for (int b = 0; b < kNumBuckets; ++b) {
-      w->Put<u64>(counts[b]);
+  template <class V>
+  void Fields(V& v) {
+    for (u64& c : counts) {
+      v(c);
     }
-    w->Put<double>(total_seconds);
-    w->Put<double>(max_seconds);
-  }
-
-  static WaitHistogram Deserialize(ByteReader* r) {
-    WaitHistogram h;
-    for (int b = 0; b < kNumBuckets; ++b) {
-      h.counts[b] = r->Get<u64>();
-    }
-    h.total_seconds = r->Get<double>();
-    h.max_seconds = r->Get<double>();
-    return h;
+    v(total_seconds, max_seconds);
   }
 };
 

@@ -89,6 +89,16 @@ class ByteWriter {
   std::vector<u8> buf_;
 };
 
+// Field-list marker for a sequence framed by a u32 element count whose
+// elements are visited one by one (the wire codec in runtime/protocol.h);
+// a plain std::vector of trivially copyable elements is u64-counted instead.
+template <class C>
+struct U32Counted {
+  C& items;
+};
+template <class C>
+U32Counted(C&) -> U32Counted<C>;
+
 class ByteReader {
  public:
   explicit ByteReader(const std::vector<u8>& buf) : data_(buf.data()), size_(buf.size()) {}
@@ -106,7 +116,7 @@ class ByteReader {
 
   std::string GetString() {
     const u64 n = Get<u64>();
-    ORION_CHECK(pos_ + n <= size_) << "ByteReader overrun";
+    ORION_CHECK(n <= size_ - pos_) << "ByteReader overrun";
     std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
     pos_ += n;
     return s;
@@ -116,7 +126,7 @@ class ByteReader {
   std::vector<T> GetVec() {
     static_assert(std::is_trivially_copyable_v<T>, "GetVec requires a trivially copyable type");
     const u64 n = Get<u64>();
-    ORION_CHECK(pos_ + n * sizeof(T) <= size_) << "ByteReader overrun";
+    ORION_CHECK(n <= (size_ - pos_) / sizeof(T)) << "ByteReader overrun";
     std::vector<T> v(n);
     if (n > 0) {
       std::memcpy(v.data(), data_ + pos_, n * sizeof(T));

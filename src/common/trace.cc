@@ -262,39 +262,6 @@ double RingFillFraction() {
   return static_cast<double>(b->count) / static_cast<double>(b->capacity);
 }
 
-void SerializeSpans(const std::vector<Span>& spans, ByteWriter* w) {
-  w->Put<u32>(static_cast<u32>(spans.size()));
-  for (const Span& s : spans) {
-    w->Put<i64>(s.start_ns);
-    w->Put<i64>(s.end_ns);
-    w->Put<i64>(s.pass);
-    w->Put<i64>(s.step);
-    w->Put<i32>(s.rank);
-    w->Put<i32>(s.tid);
-    w->Put<u16>(s.category);
-    w->PutString(s.name);
-  }
-}
-
-std::vector<Span> DeserializeSpans(ByteReader* r) {
-  const u32 n = r->Get<u32>();
-  std::vector<Span> spans;
-  spans.reserve(n);
-  for (u32 i = 0; i < n; ++i) {
-    Span s;
-    s.start_ns = r->Get<i64>();
-    s.end_ns = r->Get<i64>();
-    s.pass = r->Get<i64>();
-    s.step = r->Get<i64>();
-    s.rank = r->Get<i32>();
-    s.tid = r->Get<i32>();
-    s.category = r->Get<u16>();
-    s.name = r->GetString();
-    spans.push_back(std::move(s));
-  }
-  return spans;
-}
-
 std::string ChromeTraceJson(const std::vector<Span>& spans) {
   std::vector<const Span*> sorted;
   sorted.reserve(spans.size());

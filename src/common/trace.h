@@ -51,6 +51,11 @@ struct Span {
   i32 tid = 0;             // sequential tracer thread id (stable per thread)
   u16 category = 0;
   std::string name;
+
+  // Wire field list: drained spans piggyback on PassDone and barrier
+  // arrivals (runtime/protocol.h).
+  template <class V>
+  void Fields(V& v) { v(start_ns, end_ns, pass, step, rank, tid, category, name); }
 };
 
 // ---- Runtime toggle ----------------------------------------------------
@@ -119,11 +124,6 @@ void SetRingCapacity(size_t capacity);
 // ordered pass should piggyback a partial drain on a barrier arrival
 // instead of letting the ring wrap before PassDone.
 double RingFillFraction();
-
-// ---- Serialization (PassDone piggyback) --------------------------------
-
-void SerializeSpans(const std::vector<Span>& spans, ByteWriter* w);
-std::vector<Span> DeserializeSpans(ByteReader* r);
 
 // ---- Export ------------------------------------------------------------
 

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/common/histogram.h"
-#include "src/common/serde.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
 
@@ -54,16 +53,6 @@ class RangeSplits {
 
   const std::vector<i64>& uppers() const { return uppers_; }
 
-  void Serialize(ByteWriter* w) const {
-    w->Put<i32>(num_parts_);
-    w->PutVec(uppers_);
-  }
-  static RangeSplits Deserialize(ByteReader* r) {
-    const i32 parts = r->Get<i32>();
-    auto uppers = r->GetVec<i64>();
-    return RangeSplits(parts, std::move(uppers));
-  }
-
  private:
   int num_parts_ = 1;
   std::vector<i64> uppers_;
@@ -78,21 +67,6 @@ struct SpaceTimeGrid {
 
   int SpacePartOf(i64 coord) const { return space_splits.PartOf(coord); }
   int TimePartOf(i64 coord) const { return time_splits.PartOf(coord); }
-
-  void Serialize(ByteWriter* w) const {
-    w->Put<i32>(space_dim);
-    w->Put<i32>(time_dim);
-    space_splits.Serialize(w);
-    time_splits.Serialize(w);
-  }
-  static SpaceTimeGrid Deserialize(ByteReader* r) {
-    SpaceTimeGrid g;
-    g.space_dim = r->Get<i32>();
-    g.time_dim = r->Get<i32>();
-    g.space_splits = RangeSplits::Deserialize(r);
-    g.time_splits = RangeSplits::Deserialize(r);
-    return g;
-  }
 };
 
 }  // namespace orion

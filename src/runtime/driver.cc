@@ -29,7 +29,7 @@ constexpr int kMaxRecoveryAttempts = 8;
 // supervision retry, and the lost-PassDone retransmit all send this.
 Message StartPassMessage(int to, i32 loop_id, i32 pass, int spec_depth) {
   return MakeMessage(kMasterRank, to, MsgKind::kControl,
-                     StartPass{loop_id, pass, spec_depth}.Encode());
+                     Encode(StartPass{loop_id, pass, spec_depth}));
 }
 
 // Raises a monitor watermark. Only the driver thread writes, so a plain
@@ -579,7 +579,7 @@ int Driver::SuperviseTick(PassState& ps) {
     if (now >= rs.next_ping) {
       ++runtime_metrics_.heartbeats_sent;
       fabric_->SendReliable(MakeMessage(kMasterRank, w, MsgKind::kControl,
-                                        Heartbeat{/*is_reply=*/false, ++ps.hb_seq}.Encode()));
+                                        Encode(Heartbeat{/*is_reply=*/false, ++ps.hb_seq})));
       rs.next_ping = now + sup.heartbeat_interval_seconds;
     }
   }
@@ -595,7 +595,7 @@ int Driver::SuperviseTick(PassState& ps) {
 // form.
 void Driver::OnParamRequest(PassState& ps, Message& msg) {
   ps.Of(msg).started = true;
-  ParamRequest req = TakeParamRequest(msg);
+  ParamRequest req = Take<ParamRequest>(msg);
   ArrayHost& h = Host(req.array);
   if (param_server_ == nullptr) {
     // Synchronous serving: gather and reply on this thread.
@@ -622,7 +622,7 @@ void Driver::OnParamRequest(PassState& ps, Message& msg) {
 
 void Driver::OnParamUpdate(PassState& ps, Message& msg) {
   ps.Of(msg).started = true;
-  PartData pd = TakePart(msg);
+  PartData pd = Take<PartData>(msg);
   if (pass_spec_depth_ > 0 && pd.mode == PartDataMode::kOverwrite) {
     // Record what this step's flush overwrites before the update is
     // consumed; the summary rides on the step's barrier release.
@@ -648,7 +648,7 @@ void Driver::OnParamUpdate(PassState& ps, Message& msg) {
 // the master.
 void Driver::OnPartitionData(PassState& ps, Message& msg) {
   ps.Of(msg).started = true;
-  PartData pd = TakePart(msg);
+  PartData pd = Take<PartData>(msg);
   ArrayHost& h = Host(pd.array);
   pd.cells.ForEachConstFast([&](i64 key, const f32* v) {
     simd::CopyF32(h.master.GetOrCreate(key), v, static_cast<size_t>(h.meta.value_dim));
@@ -657,7 +657,7 @@ void Driver::OnPartitionData(PassState& ps, Message& msg) {
 }
 
 void Driver::OnBarrier(PassState& ps, Message& msg) {
-  BarrierMsg b = BarrierMsg::Decode(msg.payload);
+  BarrierMsg b = Decode<BarrierMsg>(msg.payload);
   // Piggybacked partial trace drain (rings >75% full mid-pass). Merge
   // before the staleness check — spans from an abandoned attempt are
   // still real history — deduped by the per-worker batch id so
@@ -687,7 +687,7 @@ void Driver::OnBarrier(PassState& ps, Message& msg) {
         release.dirty = it->second;
       }
     }
-    go.payload = release.Encode();
+    go.payload = Encode(release);
     if (reliable) {
       fabric_->SendReliable(std::move(go));
     } else {
@@ -719,7 +719,7 @@ void Driver::OnControl(PassState& ps, Message& msg) {
   PassState::RankSupervision& sender = ps.Of(msg);
   const ControlOp op = PeekControlOp(msg.payload);
   if (op == ControlOp::kHeartbeat) {
-    const Heartbeat hb = Heartbeat::Decode(msg.payload);
+    const Heartbeat hb = Decode<Heartbeat>(msg.payload);
     if (hb.is_reply) {
       // Pong watermarks feed the monitor's per-rank liveness gauges.
       RankLive& rl = *rank_live_[static_cast<size_t>(msg.from)];
@@ -742,7 +742,7 @@ void Driver::OnControl(PassState& ps, Message& msg) {
   if (op != ControlOp::kPassDone) {
     return;  // stray control traffic (e.g. a late retire ack)
   }
-  PassDone report = PassDone::Decode(msg.payload);
+  PassDone report = Decode<PassDone>(msg.payload);
   if (report.pass != ps.pass || sender.done) {
     return;  // duplicate or stale PassDone
   }

@@ -44,7 +44,7 @@ void Driver::GatherToDriver(DistArrayId id) {
   }
   for (int w : live_ranks_) {
     fabric_->SendReliable(MakeMessage(kMasterRank, w, MsgKind::kControl,
-                                      ArrayOp{ControlOp::kGather, id}.Encode()));
+                                      Encode(ArrayOp{ControlOp::kGather, id})));
   }
   int replies = 0;
   while (replies < ActiveWorkers()) {
@@ -58,7 +58,7 @@ void Driver::GatherToDriver(DistArrayId id) {
     }
     ORION_CHECK(msg->kind == MsgKind::kParamUpdate)
         << "unexpected message during gather:" << static_cast<int>(msg->kind);
-    PartData pd = TakePart(*msg);
+    PartData pd = Take<PartData>(*msg);
     ORION_CHECK(pd.array == id && pd.mode == PartDataMode::kOverwrite);
     pd.cells.ForEachConstFast([&](i64 key, const f32* v) {
       simd::CopyF32(h.master.GetOrCreate(key), v,
@@ -72,7 +72,7 @@ void Driver::GatherToDriver(DistArrayId id) {
 void Driver::DropFromWorkers(DistArrayId id) {
   for (int w : live_ranks_) {
     fabric_->SendReliable(MakeMessage(kMasterRank, w, MsgKind::kControl,
-                                      ArrayOp{ControlOp::kDropArray, id}.Encode()));
+                                      Encode(ArrayOp{ControlOp::kDropArray, id})));
   }
 }
 
@@ -93,7 +93,7 @@ void Driver::SendParts(DistArrayId array, std::vector<std::optional<CellStore>>*
     pd.cells = std::move(*cells);
     Message m = MakeMessage(kMasterRank, PhysicalOf(worker), MsgKind::kPartitionData);
     m.tag = PartTag(tau);
-    AttachPart(&m, std::move(pd), fabric_->zero_copy());
+    Attach(&m, std::move(pd), fabric_->zero_copy());
     state_transfer_pending_.insert(m.to);
     fabric_->Send(std::move(m));
   }
@@ -241,29 +241,19 @@ void Driver::EnsureScattered(const CompiledLoop& cl) {
 void Driver::BroadcastReplicaSnapshot(const CompiledLoop& cl, DistArrayId array) {
   ArrayHost& h = Host(array);
   QuiesceServingFor(array);  // the Flat() below collapses a served master
-  // Zero-copy: one shared payload serves every worker (receivers copy out of
-  // the shared carrier), replacing per-worker copy + encode + decode.
-  std::shared_ptr<ZeroCopyPart> shared;
-  if (fabric_->zero_copy()) {
-    shared = std::make_shared<ZeroCopyPart>();
-    shared->pd.array = array;
-    shared->pd.part = -1;
-    shared->pd.mode = PartDataMode::kReplicaSnapshot;
-    shared->pd.cells = h.master.Flat();  // one copy for the whole broadcast
-    shared->multi_reader = true;  // receivers copy; concurrent moves would race
-  }
+  // One payload for the whole broadcast: zero-copy receivers share one
+  // multi-reader carrier (each copies out of it); the serialized path
+  // encodes once and every receiver gets a copy of the bytes.
+  PartData pd;
+  pd.array = array;
+  pd.part = -1;
+  pd.mode = PartDataMode::kReplicaSnapshot;
+  pd.cells = h.master.Flat();
+  Message snapshot = MakeMessage(kMasterRank, kMasterRank, MsgKind::kPartitionData);
+  Attach(&snapshot, std::move(pd), fabric_->zero_copy(), /*multi_reader=*/true);
   for (int w : live_ranks_) {
-    Message m = MakeMessage(kMasterRank, w, MsgKind::kPartitionData);
-    if (shared != nullptr) {
-      m.zc = shared;
-    } else {
-      PartData pd;
-      pd.array = array;
-      pd.part = -1;
-      pd.mode = PartDataMode::kReplicaSnapshot;
-      pd.cells = h.master.Flat();  // copy
-      m.payload = pd.Encode();
-    }
+    Message m = snapshot;
+    m.to = w;
     state_transfer_pending_.insert(w);
     fabric_->Send(std::move(m));
   }

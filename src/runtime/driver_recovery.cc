@@ -203,7 +203,7 @@ StatusOr<bool> Driver::Reconfigure(ControlOp op, int also_retire) {
     r.phase = phase;
     r.logical_rank = logical_rank;
     r.ring.assign(live_ranks_.begin(), live_ranks_.end());
-    fabric_->SendReliable(MakeMessage(kMasterRank, to, MsgKind::kControl, r.Encode()));
+    fabric_->SendReliable(MakeMessage(kMasterRank, to, MsgKind::kControl, Encode(r)));
   };
   bool also_acked = false;
   for (i32 phase = 0; phase < 2; ++phase) {
@@ -230,7 +230,7 @@ StatusOr<bool> Driver::Reconfigure(ControlOp op, int also_retire) {
         // was a false positive) — the rejoin path can skip the executor
         // restart.
         if (PeekControlOp(msg->payload) == ControlOp::kRetire) {
-          const Retire ack = Retire::Decode(msg->payload);
+          const Retire ack = Decode<Retire>(msg->payload);
           also_acked = also_acked || (ack.is_ack && ack.phase == 0);
         }
         continue;
@@ -241,7 +241,7 @@ StatusOr<bool> Driver::Reconfigure(ControlOp op, int also_retire) {
       if (!IsLive(msg->from) || PeekControlOp(msg->payload) != op) {
         continue;
       }
-      const Retire ack = Retire::Decode(msg->payload);
+      const Retire ack = Decode<Retire>(msg->payload);
       if (ack.is_ack && ack.phase == phase) {
         acked.insert(msg->from);
       }

@@ -247,7 +247,7 @@ void Executor::Run() {
       try {
         if (msg->kind == MsgKind::kControl &&
             PeekControlOp(msg->payload) == ControlOp::kStartPass) {
-          const StartPass start = StartPass::Decode(msg->payload);
+          const StartPass start = Decode<StartPass>(msg->payload);
           if (start.pass > last_completed_pass_) {
             BufferPool::Release(std::move(msg->payload));
             RunPass(start.loop_id, start.pass, start.spec_depth);
@@ -290,7 +290,7 @@ void Executor::MaybeStraggle(i32 pass) {
 }
 
 void Executor::ProcessRetire(const Message& msg) {
-  const Retire t = Retire::Decode(msg.payload);
+  const Retire t = Decode<Retire>(msg.payload);
   // Quiesce the comm thread before acking either phase: the retire protocol's
   // invariant — "after every ack, no pre-failure message from this worker can
   // still be produced" — extends to messages parked in the async queue.
@@ -318,7 +318,7 @@ void Executor::ProcessRetire(const Message& msg) {
   ack.phase = t.phase;
   ack.is_ack = true;
   ack.logical_rank = logical_rank_;
-  Message m = MakeMessage(rank_, kMasterRank, MsgKind::kControl, ack.Encode());
+  Message m = MakeMessage(rank_, kMasterRank, MsgKind::kControl, Encode(ack));
   fabric_->SendReliable(std::move(m));
 }
 
@@ -334,7 +334,7 @@ void Executor::Dispatch(Message& msg) {
           std::find(ring_.begin(), ring_.end(), static_cast<i32>(msg.from)) == ring_.end()) {
         return;
       }
-      InstallPartData(TakePart(msg), msg.kind);
+      InstallPartData(Take<PartData>(msg), msg.kind);
       return;
     case MsgKind::kBarrier:
       return;  // stale barrier traffic from an earlier pass or step
@@ -345,7 +345,7 @@ void Executor::Dispatch(Message& msg) {
   }
   switch (PeekControlOp(msg.payload)) {
     case ControlOp::kHeartbeat: {
-      const Heartbeat ping = Heartbeat::Decode(msg.payload);
+      const Heartbeat ping = Decode<Heartbeat>(msg.payload);
       if (ping.is_reply) {
         return;  // replies are master-bound; ignore strays
       }
@@ -354,14 +354,14 @@ void Executor::Dispatch(Message& msg) {
       pong.seq = ping.seq;
       pong.last_started_pass = current_pass_ >= 0 ? current_pass_ : last_completed_pass_;
       pong.last_completed_pass = last_completed_pass_;
-      Message m = MakeMessage(rank_, kMasterRank, MsgKind::kControl, pong.Encode());
+      Message m = MakeMessage(rank_, kMasterRank, MsgKind::kControl, Encode(pong));
       fabric_->SendReliable(std::move(m));
       return;
     }
     case ControlOp::kStartPass: {
       // Duplicate or retransmit: if it names the pass we last completed, the
       // PassDone was lost — answer it again.
-      if (StartPass::Decode(msg.payload).pass == last_completed_pass_ &&
+      if (Decode<StartPass>(msg.payload).pass == last_completed_pass_ &&
           cached_pass_done_.has_value()) {
         fabric_->SendReliable(*cached_pass_done_);
       }
@@ -373,18 +373,12 @@ void Executor::Dispatch(Message& msg) {
       // so a re-entering rank and the survivors converge identically.
       ProcessRetire(msg);
       throw RetireSignal{};
-    case ControlOp::kGather: {
-      ByteReader r(msg.payload);
-      r.Get<u16>();
-      HandleGather(r.Get<i32>());
+    case ControlOp::kGather:
+      HandleGather(Decode<ArrayOp>(msg.payload).array);
       return;
-    }
-    case ControlOp::kDropArray: {
-      ByteReader r(msg.payload);
-      r.Get<u16>();
-      DropArray(r.Get<i32>());
+    case ControlOp::kDropArray:
+      DropArray(Decode<ArrayOp>(msg.payload).array);
       return;
-    }
     default:
       ORION_CHECK(false) << "unexpected control op"
                          << static_cast<int>(PeekControlOp(msg.payload));
@@ -528,7 +522,7 @@ void Executor::Barrier(i32 pass, int step) {
   }
   Message m = MakeMessage(rank_, kMasterRank, MsgKind::kBarrier);
   m.tag = static_cast<u32>(step);
-  m.payload = arrival.Encode();
+  m.payload = Encode(arrival);
   fabric_->Send(std::move(m));
   // The matched release is decoded once, inside the predicate, and kept for
   // the dirty capture below instead of being decoded a second time.
@@ -537,7 +531,7 @@ void Executor::Barrier(i32 pass, int step) {
     if (msg.kind != MsgKind::kBarrier || msg.tag != static_cast<u32>(step)) {
       return false;
     }
-    BarrierMsg b = BarrierMsg::Decode(msg.payload);
+    BarrierMsg b = Decode<BarrierMsg>(msg.payload);
     if (!b.release || b.pass != pass) {
       return false;
     }
@@ -569,7 +563,7 @@ void Executor::Barrier(i32 pass, int step) {
     }
     Message again = MakeMessage(rank_, kMasterRank, MsgKind::kBarrier);
     again.tag = static_cast<u32>(step);
-    again.payload = arrival.Encode();
+    again.payload = Encode(arrival);
     fabric_->SendReliable(std::move(again));
     if (!arrival.spans.empty()) {
       // That reliable resend bypasses the injector, so the span batch is now
@@ -743,14 +737,14 @@ void Executor::IssuePrefetch(const CompiledLoop& cl, int tau, int step, int chun
       req.speculative = speculative;
       Message m = MakeMessage(rank_, kMasterRank, MsgKind::kParamRequest);
       MeterAsPerKeyRequests(&m, req);
-      AttachParamRequest(&m, std::move(req), fabric_->zero_copy());
+      Attach(&m, std::move(req), fabric_->zero_copy());
       SendData(std::move(m));
       ++slot.expected;
     } else {
       ParamRequest req{array, step, keys};
       req.speculative = speculative;
       Message m = MakeMessage(rank_, kMasterRank, MsgKind::kParamRequest);
-      AttachParamRequest(&m, std::move(req), fabric_->zero_copy());
+      Attach(&m, std::move(req), fabric_->zero_copy());
       SendData(std::move(m));
       ++slot.expected;
     }
@@ -874,7 +868,7 @@ void Executor::RepairSpeculative(const CompiledLoop& cl, const PrefetchSlot& slo
                            CellStore(st.meta.value_dim, CellStore::Layout::kHashed, 0));
     ParamRequest req{array, slot.step, std::move(keys)};
     Message m = MakeMessage(rank_, kMasterRank, MsgKind::kParamRequest);
-    AttachParamRequest(&m, std::move(req), fabric_->zero_copy());
+    Attach(&m, std::move(req), fabric_->zero_copy());
     SendData(std::move(m));
     ++repair.expected;
   }
@@ -942,7 +936,7 @@ void Executor::StepFlush(const CompiledLoop& cl, int tau, int step) {
     st.server_dirty = CellStore(st.meta.value_dim, CellStore::Layout::kHashed, 0);
     Message m = MakeMessage(rank_, kMasterRank, MsgKind::kParamUpdate);
     m.tag = static_cast<u32>(step);
-    AttachPart(&m, std::move(pd), fabric_->zero_copy());
+    Attach(&m, std::move(pd), fabric_->zero_copy());
     SendData(std::move(m));
   }
 
@@ -978,7 +972,7 @@ void Executor::StepFlush(const CompiledLoop& cl, int tau, int step) {
         pd.cells = buf->Drain();
         Message m = MakeMessage(rank_, kMasterRank, MsgKind::kParamUpdate);
         m.tag = static_cast<u32>(step);
-        AttachPart(&m, std::move(pd), fabric_->zero_copy());
+        Attach(&m, std::move(pd), fabric_->zero_copy());
         SendData(std::move(m));
         break;
       }
@@ -1011,7 +1005,7 @@ void Executor::FlushServerBuffers(const CompiledLoop& cl) {
     pd.mode = PartDataMode::kApplyBufferUdf;
     pd.cells = buf->Drain();
     Message m = MakeMessage(rank_, kMasterRank, MsgKind::kParamUpdate);
-    AttachPart(&m, std::move(pd), fabric_->zero_copy());
+    Attach(&m, std::move(pd), fabric_->zero_copy());
     SendData(std::move(m));
   }
 }
@@ -1043,7 +1037,7 @@ void Executor::SendRotatedParts(const CompiledLoop& cl, int tau) {
     st.parts.erase(it);
     Message m = MakeMessage(rank_, dest, MsgKind::kPartitionData);
     m.tag = PartTag(tau);
-    AttachPart(&m, std::move(pd), fabric_->zero_copy());
+    Attach(&m, std::move(pd), fabric_->zero_copy());
     SendData(std::move(m));
   }
 }
@@ -1287,7 +1281,7 @@ void Executor::RunPass(i32 loop_id, i32 pass, int spec_depth) {
       done.spans.insert(done.spans.end(), extra.begin(), extra.end());
     }
   }
-  Message m = MakeMessage(rank_, kMasterRank, MsgKind::kControl, done.Encode());
+  Message m = MakeMessage(rank_, kMasterRank, MsgKind::kControl, Encode(done));
   cached_pass_done_ = m;  // re-answer if the master retransmits kStartPass
   last_completed_pass_ = pass;
   current_pass_ = -1;
@@ -1307,7 +1301,7 @@ void Executor::HandleGather(DistArrayId array) {
   pd.mode = PartDataMode::kOverwrite;
   pd.cells = std::move(merged);
   Message m = MakeMessage(rank_, kMasterRank, MsgKind::kParamUpdate);
-  AttachPart(&m, std::move(pd), fabric_->zero_copy());
+  Attach(&m, std::move(pd), fabric_->zero_copy());
   fabric_->Send(std::move(m));  // between passes: the comm thread is idle
   DropArray(array);
 }

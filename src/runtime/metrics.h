@@ -17,7 +17,6 @@
 // MetricsRegistry can aggregate it; re-exported here for existing users.
 #include "src/common/histogram.h"
 #include "src/common/metrics_registry.h"
-#include "src/common/serde.h"
 #include "src/common/types.h"
 
 namespace orion {
@@ -108,20 +107,13 @@ struct WorkerPassMetrics {
 #undef ORION_REPORT_FIELD
   WaitHistogram reply_wait;
 
-  void Serialize(ByteWriter* w) const {
-#define ORION_PUT(type, field, name, kind, flags, fold, wire, report) w->Put<wire>(report);
-    ORION_FOREACH_LOOP_METRIC(ORION_IGNORE_METRIC, ORION_PUT)
-#undef ORION_PUT
-    reply_wait.Serialize(w);
-  }
-
-  static WorkerPassMetrics Deserialize(ByteReader* r) {
-    WorkerPassMetrics m;
-#define ORION_GET(type, field, name, kind, flags, fold, wire, report) m.report = r->Get<wire>();
-    ORION_FOREACH_LOOP_METRIC(ORION_IGNORE_METRIC, ORION_GET)
-#undef ORION_GET
-    m.reply_wait = WaitHistogram::Deserialize(r);
-    return m;
+  // Wire field list: the W entries in list order, then the histogram.
+  template <class V>
+  void Fields(V& v) {
+#define ORION_VISIT(type, field, name, kind, flags, fold, wire, report) v(report);
+    ORION_FOREACH_LOOP_METRIC(ORION_IGNORE_METRIC, ORION_VISIT)
+#undef ORION_VISIT
+    v(reply_wait);
   }
 };
 

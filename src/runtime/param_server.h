@@ -70,7 +70,7 @@ Message BuildParamReply(const ParamRequest& req, const Store& master, i32 value_
   if (req.per_key) {
     MeterAsPerKeyReplies(&reply, req.keys.size(), value_dim);
   }
-  AttachPart(&reply, std::move(pd), zero_copy);
+  Attach(&reply, std::move(pd), zero_copy);
   return reply;
 }
 

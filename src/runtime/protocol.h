@@ -1,11 +1,22 @@
 // Wire protocol between the master (driver) and executors.
 //
-// Every payload is serialized with ByteWriter/ByteReader; the structs here
-// are the typed views. Control messages carry a leading ControlOp.
+// A wire type is its field list: each struct here declares one member
+// template
+//
+//   template <class V> void Fields(V& v) { v(a, b, c); }
+//
+// that visits its fields in wire order, and the one codec below derives
+// Encode, Decode and WireSize from it, so the bytes written, the bytes read
+// and the size the fabric meters on the zero-copy path cannot disagree.
+// Control messages visit their ControlOp first, as a u16 prefix the fault
+// injector and the service loops peek.
 #ifndef ORION_SRC_RUNTIME_PROTOCOL_H_
 #define ORION_SRC_RUNTIME_PROTOCOL_H_
 
+#include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/common/serde.h"
@@ -17,6 +28,167 @@
 #include "src/runtime/speculation.h"
 
 namespace orion {
+
+namespace wire {
+
+enum class Mode { kWrite, kRead, kSize };
+
+template <Mode M>
+class Codec;
+
+template <class T>
+concept HasFields = requires(T& x, Codec<Mode::kSize>& v) { x.Fields(v); };
+
+// One visitor per direction, with one overload per field kind. Encoding and
+// sizing visit a const value through a const_cast and only read it; a field
+// list may assign its own fields only when V::kReading.
+template <Mode M>
+class Codec {
+ public:
+  static constexpr bool kReading = M == Mode::kRead;
+
+  Codec() = default;
+  explicit Codec(ByteWriter* w) : w_(w) {}
+  explicit Codec(ByteReader* r) : r_(r) {}
+
+  template <class... F>
+  void operator()(F&&... fields) {
+    (Field(fields), ...);
+  }
+
+  size_t size() const { return size_; }
+
+ private:
+  // Trivially copyable scalars and enums: their bytes.
+  template <class T>
+    requires(std::is_trivially_copyable_v<T> && !HasFields<T>)
+  void Field(T& x) {
+    if constexpr (M == Mode::kWrite) {
+      w_->Put(x);
+    } else if constexpr (M == Mode::kRead) {
+      x = r_->template Get<T>();
+    } else {
+      size_ += sizeof(T);
+    }
+  }
+
+  // bool: one byte, 0 or 1.
+  void Field(bool& b) {
+    if constexpr (M == Mode::kWrite) {
+      w_->Put<u8>(b ? 1 : 0);
+    } else if constexpr (M == Mode::kRead) {
+      b = r_->Get<u8>() != 0;
+    } else {
+      size_ += sizeof(u8);
+    }
+  }
+
+  // A vector of trivially copyable elements: u64 count, then the elements
+  // in one block.
+  template <class T>
+    requires std::is_trivially_copyable_v<T>
+  void Field(std::vector<T>& v) {
+    if constexpr (M == Mode::kWrite) {
+      w_->PutVec(v);
+    } else if constexpr (M == Mode::kRead) {
+      v = r_->template GetVec<T>();
+    } else {
+      size_ += sizeof(u64) + v.size() * sizeof(T);
+    }
+  }
+
+  // U32Counted: u32 count, then each element visited in turn. A map's
+  // elements are key then value.
+  template <class C>
+  void Field(U32Counted<C>& seq) {
+    C& items = seq.items;
+    u32 n = static_cast<u32>(items.size());
+    Field(n);
+    if constexpr (M == Mode::kRead) {
+      items.clear();
+      for (u32 i = 0; i < n; ++i) {
+        if constexpr (requires { typename C::mapped_type; }) {
+          typename C::key_type key{};
+          typename C::mapped_type value{};
+          Field(key);
+          Field(value);
+          items.emplace(key, std::move(value));
+        } else {
+          Field(items.emplace_back());
+        }
+      }
+    } else {
+      for (auto& item : items) {
+        Field(item);
+      }
+    }
+  }
+
+  template <class A, class B>
+  void Field(std::pair<A, B>& p) {
+    Field(p.first);
+    Field(p.second);
+  }
+
+  // std::string: u64 length, then the characters.
+  void Field(std::string& s) {
+    if constexpr (M == Mode::kWrite) {
+      w_->PutString(s);
+    } else if constexpr (M == Mode::kRead) {
+      s = r_->GetString();
+    } else {
+      size_ += sizeof(u64) + s.size();
+    }
+  }
+
+  // CellStore keeps its own format: the delta log writes it too.
+  void Field(CellStore& c) {
+    if constexpr (M == Mode::kWrite) {
+      c.Serialize(w_);
+    } else if constexpr (M == Mode::kRead) {
+      c = CellStore::Deserialize(r_);
+    } else {
+      size_ += c.SerializedBytes();
+    }
+  }
+
+  // A nested wire type: its own field list, inline.
+  template <HasFields T>
+  void Field(T& x) {
+    x.Fields(*this);
+  }
+
+  ByteWriter* w_ = nullptr;
+  ByteReader* r_ = nullptr;
+  size_t size_ = 0;
+};
+
+}  // namespace wire
+
+// Exact number of bytes Encode(x) produces.
+template <wire::HasFields T>
+size_t WireSize(const T& x) {
+  wire::Codec<wire::Mode::kSize> size;
+  const_cast<T&>(x).Fields(size);
+  return size.size();
+}
+
+template <wire::HasFields T>
+std::vector<u8> Encode(const T& x) {
+  ByteWriter w(WireSize(x));
+  wire::Codec<wire::Mode::kWrite> write(&w);
+  const_cast<T&>(x).Fields(write);
+  return w.Take();
+}
+
+template <wire::HasFields T>
+T Decode(const std::vector<u8>& bytes) {
+  ByteReader r(bytes);
+  T x;
+  wire::Codec<wire::Mode::kRead> read(&r);
+  x.Fields(read);
+  return x;
+}
 
 enum class ControlOp : u16 {
   kStartPass = 1,    // master -> worker: run one pass of a compiled loop
@@ -38,23 +210,10 @@ struct StartPass {
   // (speculation off, or the controller disabled it).
   i32 spec_depth = 0;
 
-  std::vector<u8> Encode() const {
-    ByteWriter w(sizeof(u16) + 3 * sizeof(i32));
-    w.Put<u16>(static_cast<u16>(ControlOp::kStartPass));
-    w.Put<i32>(loop_id);
-    w.Put<i32>(pass);
-    w.Put<i32>(spec_depth);
-    return w.Take();
-  }
-
-  static StartPass Decode(const std::vector<u8>& payload) {
-    ByteReader r(payload);
-    r.Get<u16>();  // op
-    StartPass s;
-    s.loop_id = r.Get<i32>();
-    s.pass = r.Get<i32>();
-    s.spec_depth = r.Get<i32>();
-    return s;
+  template <class V>
+  void Fields(V& v) {
+    ControlOp op = ControlOp::kStartPass;
+    v(op, loop_id, pass, spec_depth);
   }
 };
 
@@ -67,30 +226,10 @@ struct PassDone {
   // is disabled).
   std::vector<trace::Span> spans;
 
-  std::vector<u8> Encode() const {
-    // Fixed fields plus the accumulator vector; the histogram and spans
-    // grow the buffer amortized if present.
-    ByteWriter w(sizeof(u16) + 2 * sizeof(i32) + sizeof(WorkerPassMetrics) +
-                 accumulators.size() * sizeof(f64) + 64);
-    w.Put<u16>(static_cast<u16>(ControlOp::kPassDone));
-    w.Put<i32>(loop_id);
-    w.Put<i32>(pass);
-    metrics.Serialize(&w);
-    w.PutVec(accumulators);
-    trace::SerializeSpans(spans, &w);
-    return w.Take();
-  }
-
-  static PassDone Decode(const std::vector<u8>& payload) {
-    ByteReader r(payload);
-    r.Get<u16>();  // op
-    PassDone d;
-    d.loop_id = r.Get<i32>();
-    d.pass = r.Get<i32>();
-    d.metrics = WorkerPassMetrics::Deserialize(&r);
-    d.accumulators = r.GetVec<f64>();
-    d.spans = trace::DeserializeSpans(&r);
-    return d;
+  template <class V>
+  void Fields(V& v) {
+    ControlOp op = ControlOp::kPassDone;
+    v(op, loop_id, pass, metrics, accumulators, U32Counted{spans});
   }
 };
 
@@ -103,25 +242,10 @@ struct Heartbeat {
   i32 last_started_pass = -1;
   i32 last_completed_pass = -1;
 
-  std::vector<u8> Encode() const {
-    ByteWriter w(sizeof(u16) + sizeof(u8) + sizeof(u32) + 2 * sizeof(i32));
-    w.Put<u16>(static_cast<u16>(ControlOp::kHeartbeat));
-    w.Put<u8>(is_reply ? 1 : 0);
-    w.Put<u32>(seq);
-    w.Put<i32>(last_started_pass);
-    w.Put<i32>(last_completed_pass);
-    return w.Take();
-  }
-
-  static Heartbeat Decode(const std::vector<u8>& payload) {
-    ByteReader r(payload);
-    r.Get<u16>();  // op
-    Heartbeat h;
-    h.is_reply = r.Get<u8>() != 0;
-    h.seq = r.Get<u32>();
-    h.last_started_pass = r.Get<i32>();
-    h.last_completed_pass = r.Get<i32>();
-    return h;
+  template <class V>
+  void Fields(V& v) {
+    ControlOp op = ControlOp::kHeartbeat;
+    v(op, is_reply, seq, last_started_pass, last_completed_pass);
   }
 };
 
@@ -142,27 +266,8 @@ struct Retire {
   i32 logical_rank = 0;
   std::vector<i32> ring;  // member physical ranks, in logical order
 
-  std::vector<u8> Encode() const {
-    ByteWriter w(sizeof(u16) + 2 * sizeof(i32) + sizeof(u8) + sizeof(u64) +
-                 ring.size() * sizeof(i32));
-    w.Put<u16>(static_cast<u16>(op));
-    w.Put<i32>(phase);
-    w.Put<u8>(is_ack ? 1 : 0);
-    w.Put<i32>(logical_rank);
-    w.PutVec(ring);
-    return w.Take();
-  }
-
-  static Retire Decode(const std::vector<u8>& payload) {
-    ByteReader r(payload);
-    Retire t;
-    t.op = static_cast<ControlOp>(r.Get<u16>());
-    t.phase = r.Get<i32>();
-    t.is_ack = r.Get<u8>() != 0;
-    t.logical_rank = r.Get<i32>();
-    t.ring = r.GetVec<i32>();
-    return t;
-  }
+  template <class V>
+  void Fields(V& v) { v(op, phase, is_ack, logical_rank, ring); }
 };
 
 // Payload of kBarrier messages. The pass number disambiguates retransmitted
@@ -187,38 +292,19 @@ struct BarrierMsg {
   u32 span_seq = 0;
   std::vector<trace::Span> spans;
 
-  std::vector<u8> Encode() const {
-    ByteWriter w(sizeof(i32) + 2 * sizeof(u8));
-    w.Put<i32>(pass);
-    w.Put<u8>(release ? 1 : 0);
-    const u8 mask =
-        static_cast<u8>((has_dirty ? 1 : 0) | (spans.empty() ? 0 : 2));
-    w.Put<u8>(mask);
-    if (has_dirty) {
-      dirty.Serialize(&w);
+  template <class V>
+  void Fields(V& v) {
+    u8 mask = static_cast<u8>((has_dirty ? 1 : 0) | (spans.empty() ? 0 : 2));
+    v(pass, release, mask);
+    if constexpr (V::kReading) {
+      has_dirty = (mask & 1) != 0;
     }
-    if (!spans.empty()) {
-      w.Put<u32>(span_seq);
-      trace::SerializeSpans(spans, &w);
-    }
-    return w.Take();
-  }
-
-  static BarrierMsg Decode(const std::vector<u8>& payload) {
-    ByteReader r(payload);
-    BarrierMsg b;
-    b.pass = r.Get<i32>();
-    b.release = r.Get<u8>() != 0;
-    const u8 mask = r.Get<u8>();
     if ((mask & 1) != 0) {
-      b.has_dirty = true;
-      b.dirty = StepDirtySummary::Deserialize(&r);
+      v(dirty);
     }
     if ((mask & 2) != 0) {
-      b.span_seq = r.Get<u32>();
-      b.spans = trace::DeserializeSpans(&r);
+      v(span_seq, U32Counted{spans});
     }
-    return b;
   }
 };
 
@@ -239,75 +325,58 @@ struct PartData {
   PartDataMode mode = PartDataMode::kInstallPart;
   CellStore cells;
 
-  std::vector<u8> Encode() const {
-    ByteWriter w(EncodedSize());
-    w.Put<i32>(array);
-    w.Put<i32>(part);
-    w.Put<u8>(static_cast<u8>(mode));
-    cells.Serialize(&w);
-    return w.Take();
-  }
-
-  static PartData Decode(const std::vector<u8>& payload) {
-    ByteReader r(payload);
-    PartData p;
-    p.array = r.Get<i32>();
-    p.part = r.Get<i32>();
-    p.mode = static_cast<PartDataMode>(r.Get<u8>());
-    p.cells = CellStore::Deserialize(&r);
-    return p;
-  }
-
-  // Exact size Encode() would produce; the fabric meters this when the
-  // message travels zero-copy.
-  size_t EncodedSize() const {
-    return sizeof(i32) + sizeof(i32) + sizeof(u8) + cells.SerializedBytes();
-  }
+  template <class V>
+  void Fields(V& v) { v(array, part, mode, cells); }
 };
 
 // Tags for rotated-partition messages double as the time-partition index
 // (plus one so tag 0 stays "untagged").
 inline u32 PartTag(int tau) { return static_cast<u32>(tau + 1); }
 
-// Zero-copy carrier for PartData (kPartitionData / kParamReply /
-// kParamUpdate): the struct travels by shared pointer, skipping
-// Encode/Decode, while the fabric still charges the exact encoded size.
-struct ZeroCopyPart final : ZeroCopyPayload {
-  PartData pd;
+// Zero-copy carrier for a wire type (a PartData in kPartitionData,
+// kParamReply and kParamUpdate, a ParamRequest in kParamRequest): the struct
+// travels by shared pointer, skipping Encode/Decode, while the fabric still
+// charges the exact encoded size.
+template <wire::HasFields T>
+struct ZeroCopy final : ZeroCopyPayload {
+  T value;
   // Set by broadcast senders that hand one carrier to several receivers.
   // Receivers of a multi-reader part must always copy: deciding move-vs-copy
   // from use_count() would race, because another receiver's copy-then-release
   // is not synchronized-with a relaxed refcount load observing count == 1.
   bool multi_reader = false;
-  size_t EncodedSize() const override { return pd.EncodedSize(); }
+  size_t EncodedSize() const override { return WireSize(value); }
 };
 
-// Packs `pd` into `m`: by reference when the fabric's zero-copy fast path is
-// on, serialized otherwise.
-inline void AttachPart(Message* m, PartData pd, bool zero_copy) {
+// Packs `value` into `m`: by reference when the fabric's zero-copy fast path
+// is on, serialized otherwise. A broadcast sender that copies `m` to several
+// receivers marks the carrier `multi_reader`.
+template <wire::HasFields T>
+void Attach(Message* m, T value, bool zero_copy, bool multi_reader = false) {
   if (zero_copy) {
-    auto z = std::make_shared<ZeroCopyPart>();
-    z->pd = std::move(pd);
+    auto z = std::make_shared<ZeroCopy<T>>();
+    z->value = std::move(value);
+    z->multi_reader = multi_reader;
     m->zc = std::move(z);
   } else {
-    m->payload = pd.Encode();
+    m->payload = Encode(value);
   }
 }
 
-// Unpacks a PartData from either representation. A multi-reader payload
-// (replica broadcast) is always copied — concurrent receivers may be reading
-// it. A single-reader one is moved out when uniquely owned; the use_count()
-// check only guards same-queue duplicates, which the one receiver thread
-// consumes sequentially, so no concurrent access is possible there.
-inline PartData TakePart(Message& m) {
+// Unpacks a T from either representation. A multi-reader payload (replica
+// broadcast) is always copied — concurrent receivers may be reading it. A
+// single-reader one is moved out when uniquely owned; the use_count() check
+// only guards same-queue duplicates, which the one receiver thread consumes
+// sequentially, so no concurrent access is possible there.
+template <wire::HasFields T>
+T Take(Message& m) {
   if (m.zc != nullptr) {
-    auto* z = static_cast<ZeroCopyPart*>(m.zc.get());
-    PartData out = (!z->multi_reader && m.zc.use_count() == 1) ? std::move(z->pd)
-                                                               : PartData(z->pd);
+    auto* z = static_cast<ZeroCopy<T>*>(m.zc.get());
+    T out = (!z->multi_reader && m.zc.use_count() == 1) ? std::move(z->value) : T(z->value);
     m.zc.reset();
     return out;
   }
-  return PartData::Decode(m.payload);
+  return Decode<T>(m.payload);
 }
 
 // Bulk-prefetch request: the synthesized access-pattern pass's key list.
@@ -324,61 +393,9 @@ struct ParamRequest {
   // serving is identical either way.
   bool speculative = false;
 
-  std::vector<u8> Encode() const {
-    ByteWriter w(EncodedSize());
-    w.Put<i32>(array);
-    w.Put<i32>(step);
-    w.Put<u8>(per_key ? 1 : 0);
-    w.PutVec(keys);
-    w.Put<u8>(speculative ? 1 : 0);
-    return w.Take();
-  }
-
-  static ParamRequest Decode(const std::vector<u8>& payload) {
-    ByteReader r(payload);
-    ParamRequest p;
-    p.array = r.Get<i32>();
-    p.step = r.Get<i32>();
-    p.per_key = r.Get<u8>() != 0;
-    p.keys = r.GetVec<i64>();
-    p.speculative = r.Get<u8>() != 0;
-    return p;
-  }
-
-  // Exact size Encode() would produce; the fabric meters this when the
-  // request travels zero-copy.
-  size_t EncodedSize() const {
-    return sizeof(i32) + sizeof(i32) + sizeof(u8) + sizeof(u64) +
-           keys.size() * sizeof(i64) + sizeof(u8);
-  }
+  template <class V>
+  void Fields(V& v) { v(array, step, per_key, keys, speculative); }
 };
-
-// Zero-copy carrier for ParamRequest: in-process requests skip Encode/Decode
-// just like replies, while the fabric still charges the exact encoded size.
-struct ZeroCopyParamRequest final : ZeroCopyPayload {
-  ParamRequest req;
-  size_t EncodedSize() const override { return req.EncodedSize(); }
-};
-
-inline void AttachParamRequest(Message* m, ParamRequest req, bool zero_copy) {
-  if (zero_copy) {
-    auto z = std::make_shared<ZeroCopyParamRequest>();
-    z->req = std::move(req);
-    m->zc = std::move(z);
-  } else {
-    m->payload = req.Encode();
-  }
-}
-
-inline ParamRequest TakeParamRequest(Message& m) {
-  if (m.zc != nullptr) {
-    auto* z = static_cast<ZeroCopyParamRequest*>(m.zc.get());
-    ParamRequest out = m.zc.use_count() == 1 ? std::move(z->req) : z->req;
-    m.zc.reset();
-    return out;
-  }
-  return ParamRequest::Decode(m.payload);
-}
 
 // kPerKey cost modeling for a coalesced request: had the storm really been
 // sent, each key would have been its own message — one transport header plus
@@ -395,7 +412,7 @@ inline void MeterAsPerKeyRequests(Message* m, const ParamRequest& req) {
   // coalesced payload, so the shell here is key-less.
   ParamRequest shell;
   shell.per_key = true;
-  const size_t per_msg = Message::kHeaderBytes + shell.EncodedSize();
+  const size_t per_msg = Message::kHeaderBytes + WireSize(shell);
   m->meter_messages = static_cast<u32>(n);
   m->meter_extra_bytes = (n - 1) * per_msg;
 }
@@ -409,7 +426,7 @@ inline void MeterAsPerKeyReplies(Message* m, size_t num_keys, i32 value_dim) {
   }
   PartData shell;
   shell.cells = CellStore(value_dim, CellStore::Layout::kHashed, 0);
-  const size_t per_msg = Message::kHeaderBytes + shell.EncodedSize();
+  const size_t per_msg = Message::kHeaderBytes + WireSize(shell);
   m->meter_messages = static_cast<u32>(num_keys);
   m->meter_extra_bytes = (num_keys - 1) * per_msg;
 }
@@ -419,12 +436,8 @@ struct ArrayOp {
   ControlOp op = ControlOp::kGather;
   DistArrayId array = kInvalidDistArrayId;
 
-  std::vector<u8> Encode() const {
-    ByteWriter w(sizeof(u16) + sizeof(i32));
-    w.Put<u16>(static_cast<u16>(op));
-    w.Put<i32>(array);
-    return w.Take();
-  }
+  template <class V>
+  void Fields(V& v) { v(op, array); }
 };
 
 inline ControlOp PeekControlOp(const std::vector<u8>& payload) {

@@ -116,51 +116,11 @@ std::vector<i64> ArrayDirtyRanges::ConflictKeys(const std::vector<i64>& sorted_k
   return out;
 }
 
-void ArrayDirtyRanges::Serialize(ByteWriter* w) const {
-  w->Put<u8>(all_dirty ? 1 : 0);
-  w->Put<u32>(static_cast<u32>(ranges.size()));
-  for (const auto& [lo, hi] : ranges) {
-    w->Put<i64>(lo);
-    w->Put<i64>(hi);
-  }
-}
-
-ArrayDirtyRanges ArrayDirtyRanges::Deserialize(ByteReader* r) {
-  ArrayDirtyRanges out;
-  out.all_dirty = r->Get<u8>() != 0;
-  const u32 n = r->Get<u32>();
-  out.ranges.reserve(n);
-  for (u32 i = 0; i < n; ++i) {
-    const i64 lo = r->Get<i64>();
-    const i64 hi = r->Get<i64>();
-    out.ranges.emplace_back(lo, hi);
-  }
-  return out;
-}
-
 void StepDirtySummary::AddKeys(DistArrayId array, std::vector<i64> keys) {
   if (keys.empty()) {
     return;
   }
   arrays[array].AddKeys(std::move(keys));
-}
-
-void StepDirtySummary::Serialize(ByteWriter* w) const {
-  w->Put<u32>(static_cast<u32>(arrays.size()));
-  for (const auto& [array, ranges] : arrays) {
-    w->Put<i32>(array);
-    ranges.Serialize(w);
-  }
-}
-
-StepDirtySummary StepDirtySummary::Deserialize(ByteReader* r) {
-  StepDirtySummary out;
-  const u32 n = r->Get<u32>();
-  for (u32 i = 0; i < n; ++i) {
-    const DistArrayId array = r->Get<i32>();
-    out.arrays.emplace(array, ArrayDirtyRanges::Deserialize(r));
-  }
-  return out;
 }
 
 }  // namespace orion

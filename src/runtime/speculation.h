@@ -47,8 +47,8 @@ struct ArrayDirtyRanges {
   // returns the whole list.
   std::vector<i64> ConflictKeys(const std::vector<i64>& sorted_keys) const;
 
-  void Serialize(ByteWriter* w) const;
-  static ArrayDirtyRanges Deserialize(ByteReader* r);
+  template <class V>
+  void Fields(V& v) { v(all_dirty, U32Counted{ranges}); }
 };
 
 // What one step overwrote across every server-hosted array it touched.
@@ -58,8 +58,8 @@ struct StepDirtySummary {
   bool empty() const { return arrays.empty(); }
   void AddKeys(DistArrayId array, std::vector<i64> keys);
 
-  void Serialize(ByteWriter* w) const;
-  static StepDirtySummary Deserialize(ByteReader* r);
+  template <class V>
+  void Fields(V& v) { v(U32Counted{arrays}); }
 };
 
 }  // namespace orion

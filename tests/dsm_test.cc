@@ -495,17 +495,6 @@ TEST(RangeSplits, HistogramBalancesSkew) {
   EXPECT_LT(balanced_max, naive_max / 2) << "histogram splits should halve the max load";
 }
 
-TEST(RangeSplits, SerializeRoundtrip) {
-  const auto s = RangeSplits::EqualWidth(1000, 5);
-  ByteWriter w;
-  s.Serialize(&w);
-  auto bytes = w.Take();
-  ByteReader r(bytes);
-  const auto back = RangeSplits::Deserialize(&r);
-  EXPECT_EQ(back.num_parts(), 5);
-  EXPECT_EQ(back.uppers(), s.uppers());
-}
-
 // ---- DistArray buffers ----
 
 TEST(Buffer, CoalescesAndApplies) {

@@ -108,8 +108,8 @@ TEST(FaultInjector, SameSeedSameDecisions) {
     FaultInjector inj(p);
     for (int pass = 0; pass < 50; ++pass) {
       for (WorkerId w = 0; w < 4; ++w) {
-        inj.Process(ControlMsg(kMasterRank, w, StartPass{0, pass}.Encode()));
-        inj.Process(ControlMsg(w, kMasterRank, MakePassDone(0, pass).Encode()));
+        inj.Process(ControlMsg(kMasterRank, w, Encode(StartPass{0, pass})));
+        inj.Process(ControlMsg(w, kMasterRank, Encode(MakePassDone(0, pass))));
       }
     }
     return inj.events();
@@ -129,9 +129,9 @@ TEST(FaultInjector, OnlyEligibleMessagesAreFaulted) {
   FaultInjector inj(plan);
 
   // kControl kStartPass: eligible, dropped.
-  EXPECT_TRUE(inj.Process(ControlMsg(kMasterRank, 0, StartPass{0, 0}.Encode())).empty());
+  EXPECT_TRUE(inj.Process(ControlMsg(kMasterRank, 0, Encode(StartPass{0, 0}))).empty());
   // kControl kGather: not in faultable_control_ops, passes through.
-  EXPECT_EQ(inj.Process(ControlMsg(kMasterRank, 0, ArrayOp{ControlOp::kGather, 0}.Encode()))
+  EXPECT_EQ(inj.Process(ControlMsg(kMasterRank, 0, Encode(ArrayOp{ControlOp::kGather, 0})))
                 .size(),
             1u);
   // kBarrier with fault_barrier_msgs = false: passes through.
@@ -139,7 +139,7 @@ TEST(FaultInjector, OnlyEligibleMessagesAreFaulted) {
   barrier.from = 0;
   barrier.to = kMasterRank;
   barrier.kind = MsgKind::kBarrier;
-  barrier.payload = BarrierMsg{}.Encode();
+  barrier.payload = Encode(BarrierMsg{});
   EXPECT_EQ(inj.Process(barrier).size(), 1u);
   // Data plane is never eligible.
   Message data;
@@ -166,7 +166,7 @@ TEST(FaultInjector, DuplicateDeliversTwice) {
   FaultPlan plan;
   plan.dup_prob = 1.0;
   FaultInjector inj(plan);
-  const auto out = inj.Process(ControlMsg(0, kMasterRank, MakePassDone(0, 0).Encode()));
+  const auto out = inj.Process(ControlMsg(0, kMasterRank, Encode(MakePassDone(0, 0))));
   EXPECT_EQ(out.size(), 2u);
   EXPECT_EQ(inj.stats().duplicated, 1u);
 }
@@ -176,7 +176,7 @@ TEST(FaultInjector, DelayedMessageIsReleasedAfterLaterTraffic) {
   plan.delay_prob = 1.0;
   plan.delay_release_after = 2;
   FaultInjector inj(plan);
-  EXPECT_TRUE(inj.Process(ControlMsg(0, kMasterRank, MakePassDone(0, 0).Encode())).empty());
+  EXPECT_TRUE(inj.Process(ControlMsg(0, kMasterRank, Encode(MakePassDone(0, 0)))).empty());
   // Unfaulted traffic toward the same destination ages the holdback.
   Message data;
   data.from = 1;
@@ -191,80 +191,7 @@ TEST(FaultInjector, DelayedMessageIsReleasedAfterLaterTraffic) {
   EXPECT_EQ(inj.stats().released, 1u);
 }
 
-// ---- Wire messages round-trip through their Encode/Decode pair, and worker
-// reports fold across workers by each metric's declared rule. ----
-
-TEST(Protocol, StartPassRoundTrips) {
-  const std::vector<u8> bytes = StartPass{3, 7, 2}.Encode();
-  EXPECT_EQ(bytes.size(), sizeof(u16) + 3 * sizeof(i32));
-  EXPECT_EQ(PeekControlOp(bytes), ControlOp::kStartPass);
-  const StartPass got = StartPass::Decode(bytes);
-  EXPECT_EQ(got.loop_id, 3);
-  EXPECT_EQ(got.pass, 7);
-  EXPECT_EQ(got.spec_depth, 2);
-}
-
-TEST(Protocol, PassDoneRoundTrips) {
-  PassDone want = MakePassDone(4, 9);
-  WorkerPassMetrics& m = want.metrics;
-  m.compute_seconds = 0.5;
-  m.wait_seconds = 0.25;
-  m.overlap_send_seconds = 0.125;
-  m.prefetch_hidden_seconds = 0.0625;
-  m.ring_depth_used = 3;
-  m.spec_issued = 11;
-  m.spec_conflicts = 2;
-  m.spec_repair_bytes = 4096;
-  m.spec_hidden_seconds = 0.03;
-  m.spec_wait_seconds = 0.02;
-  m.reply_wait.Add(0.0);
-  m.reply_wait.Add(2e-3);
-  m.reply_wait.Add(0.5);
-  want.accumulators = {1.5, -2.25};
-  trace::Span span;
-  span.start_ns = 10;
-  span.end_ns = 25;
-  span.pass = 9;
-  span.step = 1;
-  span.rank = 2;
-  span.tid = 5;
-  span.category = 1;
-  span.name = "compute";
-  want.spans = {span};
-
-  const std::vector<u8> bytes = want.Encode();
-  EXPECT_EQ(PeekControlOp(bytes), ControlOp::kPassDone);
-  const PassDone got = PassDone::Decode(bytes);
-  EXPECT_EQ(got.loop_id, 4);
-  EXPECT_EQ(got.pass, 9);
-  const WorkerPassMetrics& g = got.metrics;
-  EXPECT_EQ(g.compute_seconds, 0.5);
-  EXPECT_EQ(g.wait_seconds, 0.25);
-  EXPECT_EQ(g.overlap_send_seconds, 0.125);
-  EXPECT_EQ(g.prefetch_hidden_seconds, 0.0625);
-  EXPECT_EQ(g.ring_depth_used, 3);
-  EXPECT_EQ(g.spec_issued, 11u);
-  EXPECT_EQ(g.spec_conflicts, 2u);
-  EXPECT_EQ(g.spec_repair_bytes, 4096u);
-  EXPECT_EQ(g.spec_hidden_seconds, 0.03);
-  EXPECT_EQ(g.spec_wait_seconds, 0.02);
-  EXPECT_EQ(g.reply_wait.total_count(), 3u);
-  for (int b = 0; b < WaitHistogram::kNumBuckets; ++b) {
-    EXPECT_EQ(g.reply_wait.counts[b], m.reply_wait.counts[b]) << "bucket " << b;
-  }
-  EXPECT_EQ(g.reply_wait.total_seconds, m.reply_wait.total_seconds);
-  EXPECT_EQ(g.reply_wait.max_seconds, 0.5);
-  EXPECT_EQ(got.accumulators, want.accumulators);
-  ASSERT_EQ(got.spans.size(), 1u);
-  EXPECT_EQ(got.spans[0].start_ns, 10);
-  EXPECT_EQ(got.spans[0].end_ns, 25);
-  EXPECT_EQ(got.spans[0].pass, 9);
-  EXPECT_EQ(got.spans[0].step, 1);
-  EXPECT_EQ(got.spans[0].rank, 2);
-  EXPECT_EQ(got.spans[0].tid, 5);
-  EXPECT_EQ(got.spans[0].category, 1);
-  EXPECT_EQ(got.spans[0].name, "compute");
-}
+// ---- Worker reports fold across workers by each metric's declared rule. ----
 
 TEST(LoopMetrics, FoldTakesMaxOfTimesAndRingDepthAndSumsSpecCounts) {
   WorkerPassMetrics a;

@@ -2,7 +2,7 @@
 // zero-copy fast path must be *bit-for-bit* identical to fully synchronous
 // execution — same schedule, same apply order, same f64 accumulator folds.
 // Also covers the satellite fixes: targeted prefetch-key-cache invalidation
-// on DropArray, ForEachSlice chunk boundaries, and exact wire-size metering.
+// on DropArray and ForEachSlice chunk boundaries.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -343,35 +343,6 @@ TEST(CellStoreSlice, SingleChunkEqualsForEach) {
   s.ForEachSlice(0, 1, [&](i64 key, f32*) { sliced.push_back(key); });
   s.ForEach([&](i64 key, f32*) { full.push_back(key); });
   EXPECT_EQ(sliced, full);
-}
-
-// ---------------------------------------------------------------------------
-// Zero-copy metering: SerializedBytes / EncodedSize must equal the real
-// encoding, or the fabric's cost model drifts between the two paths.
-
-TEST(ZeroCopy, SerializedBytesMatchesEncodeHashed) {
-  PartData pd;
-  pd.array = 3;
-  pd.part = 7;
-  pd.mode = PartDataMode::kApplyBufferUdf;
-  pd.cells = CellStore(4, CellStore::Layout::kHashed, 0);
-  for (i64 k = 0; k < 13; ++k) {
-    pd.cells.GetOrCreate(k * 11)[2] = static_cast<f32>(k);
-  }
-  EXPECT_EQ(pd.EncodedSize(), pd.Encode().size());
-}
-
-TEST(ZeroCopy, SerializedBytesMatchesEncodeDense) {
-  PartData pd;
-  pd.array = 0;
-  pd.part = -1;
-  pd.mode = PartDataMode::kOverwrite;
-  pd.cells = CellStore::DenseRange(3, 5, 20);
-  EXPECT_EQ(pd.EncodedSize(), pd.Encode().size());
-
-  PartData empty;
-  empty.cells = CellStore(1, CellStore::Layout::kHashed, 0);
-  EXPECT_EQ(empty.EncodedSize(), empty.Encode().size());
 }
 
 }  // namespace

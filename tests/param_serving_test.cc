@@ -323,7 +323,7 @@ TEST(PerKeyMetering, CoalescedRequestChargesLikeStorm) {
     m.from = 0;
     m.to = kMasterRank;
     m.kind = MsgKind::kParamRequest;
-    AttachParamRequest(&m, std::move(req), /*zero_copy=*/false);
+    Attach(&m, std::move(req), /*zero_copy=*/false);
     storm.Send(std::move(m));
   }
 
@@ -336,7 +336,7 @@ TEST(PerKeyMetering, CoalescedRequestChargesLikeStorm) {
     m.to = kMasterRank;
     m.kind = MsgKind::kParamRequest;
     MeterAsPerKeyRequests(&m, req);
-    AttachParamRequest(&m, std::move(req), /*zero_copy=*/false);
+    Attach(&m, std::move(req), /*zero_copy=*/false);
     coalesced.Send(std::move(m));
   }
 
@@ -389,15 +389,15 @@ TEST(PerKeyMetering, CoalescedReplyChargesLikeStorm) {
 
 TEST(PerKeyMetering, ParamRequestEncodedSizeMatchesEncode) {
   ParamRequest empty{1, 0, {}};
-  EXPECT_EQ(empty.EncodedSize(), empty.Encode().size());
+  EXPECT_EQ(WireSize(empty), Encode(empty).size());
 
   ParamRequest bulk{2, 3, {1, 2, 3, 4, 5}};
-  EXPECT_EQ(bulk.EncodedSize(), bulk.Encode().size());
+  EXPECT_EQ(WireSize(bulk), Encode(bulk).size());
 
   ParamRequest perkey{2, 3, {10, 20}};
   perkey.per_key = true;
-  EXPECT_EQ(perkey.EncodedSize(), perkey.Encode().size());
-  const ParamRequest decoded = ParamRequest::Decode(perkey.Encode());
+  EXPECT_EQ(WireSize(perkey), Encode(perkey).size());
+  const ParamRequest decoded = Decode<ParamRequest>(Encode(perkey));
   EXPECT_TRUE(decoded.per_key);
   EXPECT_EQ(decoded.keys, perkey.keys);
 }
@@ -415,7 +415,7 @@ TEST(PerKeyMetering, BuildParamReplyPreservesKeyOrder) {
   }
   ParamRequest req{0, 0, {9, 4, 1, 5}};  // 4 misses
   Message reply = BuildParamReply(req, master, kDim, /*zero_copy=*/false);
-  PartData pd = TakePart(reply);
+  PartData pd = Take<PartData>(reply);
   EXPECT_EQ(pd.cells.keys(), (std::vector<i64>{9, 1, 5}));  // request order, misses skipped
 }
 
@@ -495,12 +495,12 @@ TEST(ParamServerReply, MatchesBuildParamReplyOnFlatStore) {
       EXPECT_EQ(reply.meter_extra_bytes, want.meter_extra_bytes);
       EXPECT_EQ(reply.WireSize(), want.WireSize());
       EXPECT_EQ(reply.zc != nullptr, zero_copy);
-      const PartData got_pd = TakePart(reply);
-      const PartData want_pd = TakePart(want);
+      const PartData got_pd = Take<PartData>(reply);
+      const PartData want_pd = Take<PartData>(want);
       EXPECT_EQ(got_pd.array, kArray);
       EXPECT_EQ(got_pd.part, want_pd.part);
       EXPECT_EQ(got_pd.cells.keys(), want_pd.cells.keys());
-      EXPECT_EQ(got_pd.Encode(), want_pd.Encode());
+      EXPECT_EQ(Encode(got_pd), Encode(want_pd));
     }
   }
 }

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/serde.h"
 #include "src/common/trace.h"
 #include "src/net/fault_injector.h"
 #include "src/runtime/driver.h"
@@ -175,10 +174,12 @@ TEST(Tracer, SerializationRoundTrips) {
   s.rank = kMasterRank;
   in.push_back(s);
 
-  ByteWriter w;
-  trace::SerializeSpans(in, &w);
-  ByteReader r(w.bytes());
-  std::vector<trace::Span> out = trace::DeserializeSpans(&r);
+  // Spans travel as a PassDone piggyback.
+  PassDone done;
+  done.spans = in;
+  const std::vector<u8> bytes = Encode(done);
+  EXPECT_EQ(bytes.size(), WireSize(done));
+  std::vector<trace::Span> out = Decode<PassDone>(bytes).spans;
   ASSERT_EQ(out.size(), in.size());
   for (size_t i = 0; i < in.size(); ++i) {
     EXPECT_EQ(out[i].start_ns, in[i].start_ns);
@@ -190,7 +191,6 @@ TEST(Tracer, SerializationRoundTrips) {
     EXPECT_EQ(out[i].category, in[i].category);
     EXPECT_EQ(out[i].name, in[i].name);
   }
-  EXPECT_TRUE(r.AtEnd());
 }
 
 TEST(Tracer, ChromeJsonEscapesAndPids) {
