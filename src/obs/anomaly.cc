@@ -9,6 +9,11 @@ namespace obs {
 
 namespace {
 
+constexpr double kMad = 4.0;            // deviation threshold multiplier (k)
+constexpr double kFloorSeconds = 2e-3;  // absolute deviation floor
+constexpr int kConfirmRounds = 3;       // consecutive rounds over threshold to flag (m)
+constexpr double kEwmaAlpha = 0.2;      // per-rank lag baseline smoothing
+
 double MedianOf(std::vector<double> v) {
   const size_t n = v.size();
   std::nth_element(v.begin(), v.begin() + n / 2, v.end());
@@ -19,8 +24,6 @@ double MedianOf(std::vector<double> v) {
 }
 
 }  // namespace
-
-StragglerDetector::StragglerDetector(StragglerOptions options) : options_(options) {}
 
 void StragglerDetector::Reset() {
   ranks_.clear();
@@ -41,25 +44,23 @@ void StragglerDetector::ObserveRound(
   deviations.reserve(values.size());
   for (double v : values) deviations.push_back(std::fabs(v - median));
   const double mad = MedianOf(deviations);
-  const double threshold =
-      std::max(options_.k_mad * mad, options_.floor_seconds);
+  const double threshold = std::max(kMad * mad, kFloorSeconds);
 
   for (const auto& [rank, s] : rank_seconds) {
     RankState& st = ranks_[rank];
     const double lag = s - median;  // positive = behind the pack
-    st.lag_ewma = options_.ewma_alpha * std::max(lag, 0.0) +
-                  (1.0 - options_.ewma_alpha) * st.lag_ewma;
+    st.lag_ewma = kEwmaAlpha * std::max(lag, 0.0) + (1.0 - kEwmaAlpha) * st.lag_ewma;
     if (lag > threshold) {
       st.healthy_streak = 0;
       ++st.streak;
-      if (st.streak >= options_.confirm_rounds && !st.flagged) {
+      if (st.streak >= kConfirmRounds && !st.flagged) {
         st.flagged = true;
         ++total_flags_;
         newly_flagged_.push_back(rank);
       }
     } else {
       st.streak = 0;
-      if (st.flagged && ++st.healthy_streak >= options_.confirm_rounds) {
+      if (st.flagged && ++st.healthy_streak >= kConfirmRounds) {
         st.flagged = false;
         st.healthy_streak = 0;
       }

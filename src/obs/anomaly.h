@@ -32,17 +32,8 @@
 namespace orion {
 namespace obs {
 
-struct StragglerOptions {
-  double k_mad = 4.0;           // deviation threshold multiplier
-  double floor_seconds = 2e-3;  // absolute deviation floor
-  int confirm_rounds = 3;       // consecutive rounds over threshold to flag
-  double ewma_alpha = 0.2;      // per-rank lag baseline smoothing
-};
-
 class StragglerDetector {
  public:
-  explicit StragglerDetector(StragglerOptions options = {});
-
   void Reset();
 
   // One observation round: (physical rank, seconds) for every rank that
@@ -75,7 +66,6 @@ class StragglerDetector {
     double lag_ewma = 0.0;
   };
 
-  StragglerOptions options_;
   std::map<int, RankState> ranks_;
   std::vector<int> newly_flagged_;
   u64 rounds_ = 0;

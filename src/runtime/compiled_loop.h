@@ -8,6 +8,7 @@
 #ifndef ORION_SRC_RUNTIME_COMPILED_LOOP_H_
 #define ORION_SRC_RUNTIME_COMPILED_LOOP_H_
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <vector>
@@ -85,6 +86,8 @@ struct CompiledLoop {
   std::map<DistArrayId, KeySpace> prefetch_key_spaces;
 
   ParallelizationPlan plan;
+  // The plan's kServer arrays in ascending id order; set with `plan`.
+  std::vector<DistArrayId> server_arrays;
 
   // Iteration-space partitioning. For 1D only `space_splits` is meaningful.
   SpaceTimeGrid grid;
@@ -110,9 +113,10 @@ struct CompiledLoop {
   bool UsesRotation() const { return Is2D() && !UsesWavefront() && !UsesLockstep(); }
   bool NeedsStepBarrier() const { return UsesWavefront() || UsesLockstep(); }
 
+  // Steps of one pass. A 1D loop's steps are its sync rounds.
   int NumSteps() const {
     if (!Is2D()) {
-      return 1;
+      return std::max(1, options.server_sync_rounds);
     }
     if (UsesLockstep()) {
       return sched_wave.num_time_parts;

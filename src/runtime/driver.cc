@@ -303,6 +303,12 @@ Status Driver::BuildLoop(CompiledLoop* cl) {
   const ParallelForOptions& options = cl->options;
 
   cl->plan = std::move(plan);
+  cl->server_arrays.clear();
+  for (const auto& [id, placement] : cl->plan.placements) {
+    if (placement.scheme == PartitionScheme::kServer) {
+      cl->server_arrays.push_back(id);
+    }
+  }
   cl->num_workers = active;
   cl->sched_1d = OneDSchedule{active};
   cl->sched_wave = WavefrontSchedule{active, active};
@@ -864,10 +870,7 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
   // Copy-on-write accounting for this pass (pins taken, pages cloned by
   // mid-pass writers, bytes copied for those clones).
   if (param_server_ != nullptr) {
-    for (const auto& [id, placement] : cl.plan.placements) {
-      if (placement.scheme != PartitionScheme::kServer) {
-        continue;
-      }
+    for (DistArrayId id : cl.server_arrays) {
       ArrayHost& h = Host(id);
       if (!h.master.paged()) {
         continue;
@@ -1032,18 +1035,8 @@ Driver::PassOutcome Driver::RunPassOnce(i32 loop_id) {
   // call below — a loop whose measured conflict rate made repair cost exceed
   // the hidden wait is sticky-disabled and reverts to synchronous fetches.
   pass_spec_depth_ = 0;
-  bool spec_eligible =
-      cl.options.speculate && cl.options.overlap && cl.NeedsStepBarrier();
-  if (spec_eligible) {
-    spec_eligible = false;
-    for (const auto& [id, placement] : cl.plan.placements) {
-      if (placement.scheme == PartitionScheme::kServer) {
-        spec_eligible = true;
-        break;
-      }
-    }
-  }
-  if (spec_eligible) {
+  if (cl.options.speculate && cl.options.overlap && cl.NeedsStepBarrier() &&
+      !cl.server_arrays.empty()) {
     SpecState& ss = spec_state_[loop_id];
     pass_spec_depth_ = ss.enabled ? ss.depth : 0;
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <thread>
 
 #include "src/common/buffer_pool.h"
@@ -443,45 +444,33 @@ void Executor::DrainInbox() {
   }
 }
 
-Message Executor::WaitFor(const std::function<bool(const Message&)>& pred) {
+std::optional<Message> Executor::WaitFor(const std::function<bool(const Message&)>& pred,
+                                         double seconds) {
   Stopwatch sw;
-  while (true) {
-    auto msg = fabric_->Recv(rank_);
-    if (!msg.has_value()) {
-      report_.wait_seconds += sw.ElapsedSeconds();
-      throw HaltSignal{};  // fabric shut down
-    }
-    if (pred(*msg)) {
-      report_.wait_seconds += sw.ElapsedSeconds();
-      return *std::move(msg);
-    }
-    Dispatch(*msg);
-    BufferPool::Release(std::move(msg->payload));
-  }
-}
-
-std::optional<Message> Executor::WaitForTimeout(
-    const std::function<bool(const Message&)>& pred, double seconds) {
-  Stopwatch sw;
-  while (true) {
-    const double left = seconds - sw.ElapsedSeconds();
-    if (left <= 0.0) {
-      report_.wait_seconds += sw.ElapsedSeconds();
-      return std::nullopt;
-    }
-    auto msg = fabric_->RecvWithTimeout(rank_, left);
+  std::optional<Message> msg;
+  for (double left = seconds; left > 0.0; left = seconds - sw.ElapsedSeconds()) {
+    msg = std::isinf(seconds) ? fabric_->Recv(rank_) : fabric_->RecvWithTimeout(rank_, left);
     if (!msg.has_value()) {
       if (fabric_->Closed(rank_)) {
-        throw HaltSignal{};
+        throw HaltSignal{};  // fabric shut down
       }
-      continue;  // timed out; the deadline check above decides
+      continue;  // timed out; the loop condition decides
     }
     if (pred(*msg)) {
-      report_.wait_seconds += sw.ElapsedSeconds();
-      return msg;
+      break;
     }
     Dispatch(*msg);
     BufferPool::Release(std::move(msg->payload));
+    msg.reset();
+  }
+  report_.wait_seconds += sw.ElapsedSeconds();
+  return msg;
+}
+
+void Executor::WaitUntil(MsgKind kind, const std::function<bool()>& done) {
+  while (!done()) {
+    std::optional<Message> msg = WaitFor([kind](const Message& m) { return m.kind == kind; });
+    Dispatch(*msg);
   }
 }
 
@@ -491,10 +480,17 @@ void Executor::WaitForPart(DistArrayId array, int tau) {
     return;  // already resident: no wait, no span
   }
   ORION_TRACE_SPAN(kExecutor, "rotation_wait");
-  while (st.parts.count(tau) == 0) {
-    Message msg = WaitFor([](const Message& m) { return m.kind == MsgKind::kPartitionData; });
-    Dispatch(msg);
+  WaitUntil(MsgKind::kPartitionData, [&] { return st.parts.count(tau) != 0; });
+}
+
+std::vector<trace::Span> Executor::DrainOwnSpans() {
+  std::vector<trace::Span> spans = trace::DrainRank(logical_rank_);
+  if (rank_ != logical_rank_) {
+    // Post-recovery the sender lane keeps its physical-rank tag.
+    std::vector<trace::Span> extra = trace::DrainRank(rank_);
+    spans.insert(spans.end(), extra.begin(), extra.end());
   }
+  return spans;
 }
 
 void Executor::Barrier(i32 pass, int step) {
@@ -511,11 +507,7 @@ void Executor::Barrier(i32 pass, int step) {
     // master append resent copies of the same batch exactly once. Fault
     // injection stays deterministic: injector decisions never depend on
     // payload size.
-    arrival.spans = trace::DrainRank(logical_rank_);
-    if (rank_ != logical_rank_) {
-      std::vector<trace::Span> extra = trace::DrainRank(rank_);
-      arrival.spans.insert(arrival.spans.end(), extra.begin(), extra.end());
-    }
+    arrival.spans = DrainOwnSpans();
     if (!arrival.spans.empty()) {
       arrival.span_seq = ++span_batch_seq_;
     }
@@ -538,29 +530,11 @@ void Executor::Barrier(i32 pass, int step) {
     release = std::move(b);
     return true;
   };
-  // The release for step s carries the dirty-range summary of the kOverwrite
-  // writes flushed during s — the validation input for any speculative fetch
-  // that was in flight across this barrier.
-  auto record_release = [&]() {
-    if (spec_depth_ > 0 && release.has_dirty) {
-      step_dirty_[step] = std::move(release.dirty);
-    }
-  };
-  if (!sup_.enabled) {
-    WaitFor(matches);
-    record_release();
-    return;
-  }
   // Supervised: either our arrival or the master's release can be lost, so
   // resend (reliably) with backoff until the release for this exact
   // (pass, step) arrives. The master re-releases on duplicate arrivals.
-  double backoff = sup_.retry_initial_seconds;
-  while (true) {
-    auto got = WaitForTimeout(matches, backoff);
-    if (got.has_value()) {
-      record_release();
-      return;
-    }
+  double backoff = sup_.enabled ? sup_.retry_initial_seconds : kForever;
+  while (!WaitFor(matches, backoff).has_value()) {
     Message again = MakeMessage(rank_, kMasterRank, MsgKind::kBarrier);
     again.tag = static_cast<u32>(step);
     again.payload = Encode(arrival);
@@ -573,6 +547,12 @@ void Executor::Barrier(i32 pass, int step) {
       arrival.spans.clear();
     }
     backoff *= kRetryBackoffFactor;
+  }
+  // The release for step s carries the dirty-range summary of the kOverwrite
+  // writes flushed during s — the validation input for any speculative fetch
+  // that was in flight across this barrier.
+  if (spec_depth_ > 0 && release.has_dirty) {
+    step_dirty_[step] = std::move(release.dirty);
   }
 }
 
@@ -616,10 +596,7 @@ std::map<DistArrayId, std::vector<i64>> Executor::CollectPrefetchKeys(const Comp
   std::map<DistArrayId, std::vector<i64>> recorded;
   bool have_cached = cl.options.prefetch == PrefetchMode::kCached;
   if (have_cached) {
-    for (const auto& [array, placement] : cl.plan.placements) {
-      if (placement.scheme != PartitionScheme::kServer) {
-        continue;
-      }
+    for (DistArrayId array : cl.server_arrays) {
       auto it = prefetch_key_cache_.find({cl.loop_id, step, array});
       if (it == prefetch_key_cache_.end()) {
         have_cached = false;
@@ -682,10 +659,7 @@ bool Executor::CanIssueEarly(const CompiledLoop& cl, int step) const {
   // The key cache is keyed by the step index — the block a worker runs at
   // step s is the same every pass, so step names it uniquely per executor
   // (CollectPrefetchKeys records and looks up under the same key).
-  for (const auto& [array, placement] : cl.plan.placements) {
-    if (placement.scheme != PartitionScheme::kServer) {
-      continue;
-    }
+  for (DistArrayId array : cl.server_arrays) {
     if (prefetch_key_cache_.count({cl.loop_id, step, array}) == 0) {
       return false;  // cold cache: the first pass still records
     }
@@ -706,10 +680,8 @@ void Executor::IssuePrefetch(const CompiledLoop& cl, int tau, int step, int chun
   slot.step = step;
   slot.speculative = speculative;
   slot.issued_during = issued_during;
-  for (const auto& [array, placement] : cl.plan.placements) {
-    if (placement.scheme != PartitionScheme::kServer) {
-      continue;
-    }
+  const bool per_key = cl.options.prefetch == PrefetchMode::kPerKey;
+  for (DistArrayId array : cl.server_arrays) {
     const ArrayState& st = GetArray(array);
     slot.buffers.emplace(array,
                          CellStore(st.meta.value_dim, CellStore::Layout::kHashed, 0));
@@ -722,32 +694,22 @@ void Executor::IssuePrefetch(const CompiledLoop& cl, int tau, int step, int chun
       // steps and repair only the overlap.
       slot.keys[array] = keys;
     }
-    if (cl.options.prefetch == PrefetchMode::kPerKey) {
-      // Naive remote random access: one coalesced wire message carrying the
-      // whole key list, metered in the fabric as |keys| individual requests
-      // (and its reply as |keys| individual replies). The old code really did
-      // send one message per key; the coalesced form keeps that cost model
-      // while sparing the service loop the message storm. Zero keys means
-      // zero messages, exactly as before.
-      if (keys.empty()) {
-        continue;
-      }
-      ParamRequest req{array, step, keys};
-      req.per_key = true;
-      req.speculative = speculative;
-      Message m = MakeMessage(rank_, kMasterRank, MsgKind::kParamRequest);
-      MeterAsPerKeyRequests(&m, req);
-      Attach(&m, std::move(req), fabric_->zero_copy());
-      SendData(std::move(m));
-      ++slot.expected;
-    } else {
-      ParamRequest req{array, step, keys};
-      req.speculative = speculative;
-      Message m = MakeMessage(rank_, kMasterRank, MsgKind::kParamRequest);
-      Attach(&m, std::move(req), fabric_->zero_copy());
-      SendData(std::move(m));
-      ++slot.expected;
+    // kPerKey models naive remote random access: one coalesced wire message
+    // carrying the whole key list, metered in the fabric as |keys| individual
+    // requests (and its reply as |keys| individual replies). That keeps the
+    // cost of one message per key while sparing the service loop the message
+    // storm. Zero keys means zero messages, as it would with one per key.
+    if (per_key && keys.empty()) {
+      continue;
     }
+    ParamRequest req{array, step, keys};
+    req.per_key = per_key;
+    req.speculative = speculative;
+    SendParamRequest(std::move(req));
+    ++slot.expected;
+  }
+  if (speculative) {
+    ++report_.spec_issued;
   }
   slot.outstanding = slot.expected;
   slot.issued_at.Reset();
@@ -755,6 +717,13 @@ void Executor::IssuePrefetch(const CompiledLoop& cl, int tau, int step, int chun
   PublishRingFill();
   report_.ring_depth_used =
       std::max(report_.ring_depth_used, static_cast<i32>(prefetch_ring_.size()));
+}
+
+void Executor::SendParamRequest(ParamRequest req) {
+  Message m = MakeMessage(rank_, kMasterRank, MsgKind::kParamRequest);
+  MeterAsPerKeyRequests(&m, req);  // no-op unless req.per_key
+  Attach(&m, std::move(req), fabric_->zero_copy());
+  SendData(std::move(m));
 }
 
 void Executor::AwaitPrefetch(const CompiledLoop& cl, int step) {
@@ -780,29 +749,19 @@ void Executor::AwaitPrefetch(const CompiledLoop& cl, int step) {
     report_.reply_wait.Add(0.0);
   } else {
     Stopwatch blocked;
-    auto drain = [&] {
-      while (prefetch_ring_.front().outstanding > 0) {
-        Message msg = WaitFor([](const Message& m) { return m.kind == MsgKind::kParamReply; });
-        Dispatch(msg);
-      }
-    };
+    {
+      ORION_TRACE_SPAN(kExecutor, spec ? "spec_wait" : "prefetch_wait");
+      WaitUntil(MsgKind::kParamReply, [this] { return prefetch_ring_.front().outstanding == 0; });
+    }
     if (spec) {
-      ORION_TRACE_SPAN(kExecutor, "spec_wait");
-      drain();
       report_.spec_wait_seconds += blocked.ElapsedSeconds();
-    } else {
-      ORION_TRACE_SPAN(kExecutor, "prefetch_wait");
-      drain();
     }
     report_.reply_wait.Add(blocked.ElapsedSeconds());
   }
   PrefetchSlot slot = std::move(prefetch_ring_.front());
   prefetch_ring_.pop_front();
   PublishRingFill();
-  for (const auto& [array, placement] : cl.plan.placements) {
-    if (placement.scheme != PartitionScheme::kServer) {
-      continue;
-    }
+  for (DistArrayId array : cl.server_arrays) {
     ArrayState& st = GetArray(array);
     auto it = slot.buffers.find(array);
     if (it != slot.buffers.end()) {
@@ -866,19 +825,13 @@ void Executor::RepairSpeculative(const CompiledLoop& cl, const PrefetchSlot& slo
     const ArrayState& st = GetArray(array);
     repair.buffers.emplace(array,
                            CellStore(st.meta.value_dim, CellStore::Layout::kHashed, 0));
-    ParamRequest req{array, slot.step, std::move(keys)};
-    Message m = MakeMessage(rank_, kMasterRank, MsgKind::kParamRequest);
-    Attach(&m, std::move(req), fabric_->zero_copy());
-    SendData(std::move(m));
+    SendParamRequest(ParamRequest{array, slot.step, std::move(keys)});
     ++repair.expected;
   }
   repair.outstanding = repair.expected;
   prefetch_ring_.push_front(std::move(repair));
   PublishRingFill();
-  while (prefetch_ring_.front().outstanding > 0) {
-    Message msg = WaitFor([](const Message& m) { return m.kind == MsgKind::kParamReply; });
-    Dispatch(msg);
-  }
+  WaitUntil(MsgKind::kParamReply, [this] { return prefetch_ring_.front().outstanding == 0; });
   PrefetchSlot done = std::move(prefetch_ring_.front());
   prefetch_ring_.pop_front();
   PublishRingFill();
@@ -920,10 +873,7 @@ void Executor::ApplyLocalBuffers(const CompiledLoop& cl, int tau) {
 void Executor::StepFlush(const CompiledLoop& cl, int tau, int step) {
   ORION_TRACE_SPAN(kExecutor, "step_flush");
   // Flush unbuffered server writes (wavefront loops) as overwrites.
-  for (const auto& [array, placement] : cl.plan.placements) {
-    if (placement.scheme != PartitionScheme::kServer) {
-      continue;
-    }
+  for (DistArrayId array : cl.server_arrays) {
     ArrayState& st = GetArray(array);
     if (st.server_dirty.NumCells() == 0) {
       continue;
@@ -940,70 +890,46 @@ void Executor::StepFlush(const CompiledLoop& cl, int tau, int step) {
     SendData(std::move(m));
   }
 
-  // Flush buffered writes whose targets are locally applicable or replicated.
+  // Apply buffered writes to locally owned targets, then ship the ones to
+  // replicated targets. Server-hosted targets flush in FlushServerBuffers.
+  ApplyLocalBuffers(cl, tau);
   for (auto& [target, buf] : buffers_) {
     if (buf->NumPending() == 0) {
       continue;
     }
     auto pit = cl.plan.placements.find(target);
-    if (pit == cl.plan.placements.end()) {
-      continue;  // buffer targets an array not in this loop
+    if (pit == cl.plan.placements.end() || pit->second.scheme == PartitionScheme::kServer) {
+      continue;  // not in this loop, or server-hosted
     }
-    ArrayState& st = GetArray(target);
-    switch (pit->second.scheme) {
-      case PartitionScheme::kRange: {
-        CellStore updates = buf->Drain();
-        DistArrayBuffer::ApplyTo(&st.range_store, updates, buf->apply_fn());
-        break;
-      }
-      case PartitionScheme::kSpaceTime: {
-        CellStore updates = buf->Drain();
-        auto it = st.parts.find(tau);
-        ORION_CHECK(it != st.parts.end()) << "buffered update to a non-resident rotated part";
-        DistArrayBuffer::ApplyTo(&it->second, updates, buf->apply_fn());
-        break;
-      }
-      case PartitionScheme::kReplicated: {
-        // Already applied locally at BufferUpdate time; ship the delta.
-        PartData pd;
-        pd.array = target;
-        pd.part = -1;
-        pd.mode = PartDataMode::kApplyBufferUdf;
-        pd.cells = buf->Drain();
-        Message m = MakeMessage(rank_, kMasterRank, MsgKind::kParamUpdate);
-        m.tag = static_cast<u32>(step);
-        Attach(&m, std::move(pd), fabric_->zero_copy());
-        SendData(std::move(m));
-        break;
-      }
-      case PartitionScheme::kServer:
-        break;  // flushed once per pass in PassEndFlush
-      default:
-        ORION_CHECK(false) << "buffered update to iteration space";
-    }
+    ORION_CHECK(pit->second.scheme == PartitionScheme::kReplicated)
+        << "buffered update to iteration space";
+    // Already applied locally at BufferUpdate time; ship the delta.
+    PartData pd;
+    pd.array = target;
+    pd.part = -1;
+    pd.mode = PartDataMode::kApplyBufferUdf;
+    pd.cells = buf->Drain();
+    Message m = MakeMessage(rank_, kMasterRank, MsgKind::kParamUpdate);
+    m.tag = static_cast<u32>(step);
+    Attach(&m, std::move(pd), fabric_->zero_copy());
+    SendData(std::move(m));
   }
 }
 
-void Executor::PassEndFlush(const CompiledLoop& cl) { FlushServerBuffers(cl); }
-
 // Ships buffered updates whose targets are server-hosted. Called once per
-// pass by default, or once per sync round for chunked 1D loops (bounded
-// buffering delay, paper Sec. 3.3).
+// step of a 1D loop, where steps are sync rounds (bounded buffering delay,
+// paper Sec. 3.3), and once at the end of every pass.
 void Executor::FlushServerBuffers(const CompiledLoop& cl) {
-  for (auto& [target, buf] : buffers_) {
-    if (buf->NumPending() == 0) {
-      continue;
-    }
-    auto pit = cl.plan.placements.find(target);
-    if (pit == cl.plan.placements.end() ||
-        pit->second.scheme != PartitionScheme::kServer) {
+  for (DistArrayId target : cl.server_arrays) {
+    auto it = buffers_.find(target);
+    if (it == buffers_.end() || it->second->NumPending() == 0) {
       continue;
     }
     PartData pd;
     pd.array = target;
     pd.part = -1;
     pd.mode = PartDataMode::kApplyBufferUdf;
-    pd.cells = buf->Drain();
+    pd.cells = it->second->Drain();
     Message m = MakeMessage(rank_, kMasterRank, MsgKind::kParamUpdate);
     Attach(&m, std::move(pd), fabric_->zero_copy());
     SendData(std::move(m));
@@ -1056,13 +982,8 @@ void Executor::DrainReturningParts(const CompiledLoop& cl) {
     }
     ArrayState& st = GetArray(array);
     for (int tau = 0; tau < cl.sched_rot.num_time_parts(); ++tau) {
-      if (cl.sched_rot.InitialOwner(tau) != logical_rank_) {
-        continue;
-      }
-      while (st.parts.count(tau) == 0) {
-        Message msg =
-            WaitFor([](const Message& m) { return m.kind == MsgKind::kPartitionData; });
-        Dispatch(msg);
+      if (cl.sched_rot.InitialOwner(tau) == logical_rank_) {
+        WaitUntil(MsgKind::kPartitionData, [&] { return st.parts.count(tau) != 0; });
       }
     }
   }
@@ -1089,173 +1010,131 @@ void Executor::RunPass(i32 loop_id, i32 pass, int spec_depth) {
   overlap_ = cl->options.overlap;
   sender_busy_at_pass_start_ = sender_.busy_seconds();
 
-  bool has_server = false;
-  for (const auto& [array, placement] : cl->plan.placements) {
-    if (placement.scheme == PartitionScheme::kServer) {
-      has_server = true;
-    }
-  }
-
-  if (!cl->Is2D() && cl->options.server_sync_rounds > 1) {
-    // Chunked 1D pass: bounded buffering delay. Each round prefetches fresh
-    // server values, executes a slice of the local iterations, and flushes
-    // buffered updates so other workers' next rounds observe them. Rounds
-    // are never pipelined: round r+1's prefetch must observe round r's
-    // flushes, so issue and await stay back to back (the master-bound link
-    // is FIFO, so the request queued behind the flushes reads fresh state).
-    // Under async serving these requests are served from a snapshot pinned
-    // at dequeue time — same bytes, but the gather copies run on the server
-    // pool with no lock held. Cross-round prefetch
-    // stays illegal regardless: the snapshot for round r+1 must be pinned
-    // *after* round r's flushes are applied.
-    const int rounds = cl->options.server_sync_rounds;
-    for (int round = 0; round < rounds; ++round) {
-      trace::SetThreadStep(round);
-      MaybeCrash(pass, round);
-      MaybeStraggle(pass);
-      DrainInbox();
-      if (has_server) {
-        IssuePrefetch(*cl, -1, round, round, rounds);
-        AwaitPrefetch(*cl, round);
+  const bool has_server = !cl->server_arrays.empty();
+  const int steps = cl->NumSteps();
+  // A 1D loop's steps are its sync rounds: each round prefetches fresh
+  // server values, executes one slice of the local iterations, and flushes
+  // buffered updates so other workers' next rounds observe them (bounded
+  // buffering delay). Rounds are never pipelined: round r+1's prefetch must
+  // observe round r's flushes, so issue and await stay back to back (the
+  // master-bound link is FIFO, so the request queued behind the flushes
+  // reads fresh state). Under async serving these requests are served from
+  // a snapshot pinned at dequeue time — same bytes, but the gather copies
+  // run on the server pool with no lock held. Cross-round prefetch stays
+  // illegal regardless: the snapshot for round r+1 must be pinned *after*
+  // round r's flushes are applied.
+  const int num_chunks = cl->Is2D() ? 1 : steps;
+  // Pipelined prefetch is only legal for unordered rotation schedules: the
+  // master's server state is pass-constant there (buffered server updates
+  // apply at pass end), so fetching step t+1 before or after computing
+  // step t reads identical values. Wavefront/lockstep loops flush server
+  // overwrites every step that the *next* step must observe, so they keep
+  // the synchronous issue-await pairing unless they speculate.
+  const bool pipelined = overlap_ && has_server && cl->UsesRotation();
+  // Speculative prefetch for ordered schedules: the master shipped a
+  // non-zero spec depth (the loop opted in and the controller has not
+  // disabled it), the loop barriers every step, and the overlap engine is
+  // on so the early requests ride the comm thread.
+  const bool speculating = spec_depth_ > 0 && overlap_ && has_server && cl->NeedsStepBarrier();
+  // How many steps the prefetch ring may run ahead. A loop either rotates
+  // or barriers, so at most one of the two is set.
+  const int ahead =
+      pipelined ? std::max(1, cl->options.prefetch_depth) : speculating ? spec_depth_ : 0;
+  // Next step at which this worker executes a block (-1 when none): the
+  // step the early issue targets.
+  auto next_active = [&](int after) {
+    for (int s = after + 1; s < steps; ++s) {
+      if (cl->TimePartAt(logical_rank_, s) >= 0) {
+        return s;
       }
-      ExecuteCells(*cl, -1, round, rounds);
-      StepFlush(*cl, -1, round);
-      FlushServerBuffers(*cl);
     }
-  } else {
-    const int steps = cl->NumSteps();
-    // Pipelined prefetch is only legal for unordered rotation schedules: the
-    // master's server state is pass-constant there (buffered server updates
-    // apply at pass end), so fetching step t+1 before or after computing
-    // step t reads identical values. Wavefront/lockstep loops flush server
-    // overwrites every step that the *next* step must observe, so they keep
-    // the synchronous issue-await pairing.
-    const bool pipelined = overlap_ && has_server && cl->UsesRotation();
-    // Speculative prefetch for ordered schedules: the master shipped a
-    // non-zero spec depth (the loop opted in and the controller has not
-    // disabled it), the loop barriers every step, and the overlap engine is
-    // on so the early requests ride the comm thread.
-    const bool speculating =
-        spec_depth_ > 0 && overlap_ && has_server && cl->NeedsStepBarrier();
-    const int depth = pipelined ? std::max(1, cl->options.prefetch_depth) : 1;
-    // Next step at which this worker executes a block (-1 when none): the
-    // step the early issue targets.
-    auto next_active = [&](int after) {
-      for (int s = after + 1; s < steps; ++s) {
-        if (cl->TimePartAt(logical_rank_, s) >= 0) {
-          return s;
+    return -1;
+  };
+  // Deepest step a prefetch has been issued for; every issue extends from
+  // here so the ring stays in step order.
+  int issued_through = -1;
+  for (int step = 0; step < steps; ++step) {
+    trace::SetThreadStep(step);
+    MaybeCrash(pass, step);
+    MaybeStraggle(pass);
+    DrainInbox();
+    const int tau = cl->TimePartAt(logical_rank_, step);
+    const int chunk = cl->Is2D() ? 0 : step;
+    const bool active = !cl->Is2D() || tau >= 0;
+    if (active) {
+      for (const auto& [array, placement] : cl->plan.placements) {
+        if (placement.scheme == PartitionScheme::kSpaceTime) {
+          WaitForPart(array, tau);
         }
       }
-      return -1;
-    };
-    // Deepest step a prefetch has been issued for; the deep/shallow issues
-    // below always extend from here so the ring stays in step order.
-    int issued_through = -1;
-    // Speculative deep issue: fetch upcoming steps' server reads against the
-    // master's current state before this step's writes land. Unlike the
-    // rotation pipeline below, server state is NOT pass-constant here —
-    // wavefront/lockstep steps flush overwrites mid-pass — so each slot
-    // records what it asked for and AwaitPrefetch validates the payload
-    // against the dirty-range summaries carried by the intervening barrier
-    // releases, re-fetching only conflicting keys. Runs on idle fill steps
-    // too: a worker that has not entered the wavefront yet still barriers
-    // every step, so its first block's fetch can ride ahead under the same
-    // validation window instead of gating its entry step.
-    auto speculative_issue = [&](int step) {
-      while (static_cast<int>(prefetch_ring_.size()) < spec_depth_) {
+      if (has_server && prefetch_ring_.empty()) {
+        IssuePrefetch(*cl, tau, step, chunk, num_chunks);
+        issued_through = step;
+      }
+      AwaitPrefetch(*cl, step);
+    }
+    // Issue ahead: key lists for upcoming steps that don't depend on local
+    // mutable state (synthesized program or warm cache) go out before
+    // compute, hiding up to `ahead` round trips under the kernels. Rotation
+    // reads pass-constant server state, so step t+k reads the same values
+    // whenever it is fetched. Ordered loops do not: their steps flush
+    // overwrites mid-pass, so each speculative slot records what it asked
+    // for and AwaitPrefetch validates the payload against the dirty-range
+    // summaries carried by the intervening barrier releases, re-fetching
+    // only conflicting keys. That also runs on idle fill steps: a worker
+    // that has not entered the wavefront yet still barriers every step, so
+    // its first block's fetch can ride ahead under the same validation
+    // window instead of gating its entry step. (Rotation workers are never
+    // idle.)
+    while (static_cast<int>(prefetch_ring_.size()) < ahead) {
+      const int nstep = next_active(issued_through);
+      if (nstep < 0 || !CanIssueEarly(*cl, nstep)) {
+        break;
+      }
+      IssuePrefetch(*cl, cl->TimePartAt(logical_rank_, nstep), nstep, 0, 1, speculating, step);
+      issued_through = nstep;
+    }
+    if (active) {
+      ExecuteCells(*cl, tau, chunk, num_chunks);
+      StepFlush(*cl, tau, step);
+      if (!cl->Is2D()) {
+        FlushServerBuffers(*cl);
+      } else if (!cl->UsesLockstep()) {
+        SendRotatedParts(*cl, tau);
+      }
+      if (pipelined && prefetch_ring_.empty()) {
+        // Shallow issue: kernel-replay recording needs step t+1's rotated
+        // partitions resident (replay reads them, and resolving would
+        // otherwise plant empty placeholder parts that fool WaitForPart).
+        // When they already arrived, the request still overlaps the tail
+        // of this step and the next step's wait.
         const int nstep = next_active(issued_through);
-        if (nstep < 0 || !CanIssueEarly(*cl, nstep)) {
-          break;
-        }
-        IssuePrefetch(*cl, cl->TimePartAt(logical_rank_, nstep), nstep, 0, 1,
-                      /*speculative=*/true, /*issued_during=*/step);
-        issued_through = nstep;
-        ++report_.spec_issued;
-      }
-    };
-    for (int step = 0; step < steps; ++step) {
-      trace::SetThreadStep(step);
-      MaybeCrash(pass, step);
-      MaybeStraggle(pass);
-      DrainInbox();
-      const int tau = cl->Is2D() ? cl->TimePartAt(logical_rank_, step) : -1;
-      const bool active = !cl->Is2D() || tau >= 0;
-      if (active) {
-        for (const auto& [array, placement] : cl->plan.placements) {
-          if (placement.scheme == PartitionScheme::kSpaceTime) {
-            WaitForPart(array, tau);
-          }
-        }
-        if (has_server) {
-          if (prefetch_ring_.empty()) {
-            IssuePrefetch(*cl, tau, step, 0, 1);
-            issued_through = step;
-          }
-          AwaitPrefetch(*cl, step);
-          if (speculating) {
-            speculative_issue(step);
-          }
-          if (pipelined) {
-            // Deep issue: key lists for upcoming steps that don't depend on
-            // local mutable state (synthesized program or warm cache) go out
-            // before compute, hiding up to `depth` round trips under the
-            // kernels. Legal at any depth: rotation-loop server state is
-            // pass-constant, so step t+k reads the same values whenever it
-            // is fetched.
-            while (static_cast<int>(prefetch_ring_.size()) < depth) {
-              const int nstep = next_active(issued_through);
-              if (nstep < 0 || !CanIssueEarly(*cl, nstep)) {
-                break;
-              }
-              IssuePrefetch(*cl, cl->TimePartAt(logical_rank_, nstep), nstep, 0, 1);
-              issued_through = nstep;
+        if (nstep >= 0) {
+          const int ntau = cl->TimePartAt(logical_rank_, nstep);
+          DrainInbox();
+          bool parts_ready = true;
+          for (const auto& [array, placement] : cl->plan.placements) {
+            if (placement.scheme == PartitionScheme::kSpaceTime &&
+                GetArray(array).parts.count(ntau) == 0) {
+              parts_ready = false;
+              break;
             }
           }
-        }
-        ExecuteCells(*cl, tau, 0, 1);
-        StepFlush(*cl, tau, step);
-        if (cl->Is2D() && !cl->UsesLockstep()) {
-          SendRotatedParts(*cl, tau);
-        }
-        if (pipelined && prefetch_ring_.empty()) {
-          // Shallow issue: kernel-replay recording needs step t+1's rotated
-          // partitions resident (replay reads them, and resolving would
-          // otherwise plant empty placeholder parts that fool WaitForPart).
-          // When they already arrived, the request still overlaps the tail
-          // of this step and the next step's wait.
-          const int nstep = next_active(issued_through);
-          if (nstep >= 0) {
-            const int ntau = cl->TimePartAt(logical_rank_, nstep);
-            DrainInbox();
-            bool parts_ready = true;
-            for (const auto& [array, placement] : cl->plan.placements) {
-              if (placement.scheme == PartitionScheme::kSpaceTime &&
-                  GetArray(array).parts.count(ntau) == 0) {
-                parts_ready = false;
-                break;
-              }
-            }
-            if (parts_ready) {
-              IssuePrefetch(*cl, ntau, nstep, 0, 1);
-              issued_through = nstep;
-            }
+          if (parts_ready) {
+            IssuePrefetch(*cl, ntau, nstep, 0, 1);
+            issued_through = nstep;
           }
         }
-      } else if (speculating && has_server) {
-        // Idle fill/drain step: no block to run, but the barrier still
-        // synchronizes us with the frontier, so pipeline the upcoming
-        // entry blocks' fetches now.
-        speculative_issue(step);
       }
-      if (cl->NeedsStepBarrier()) {
-        Barrier(pass, step);
-      }
+    }
+    if (cl->NeedsStepBarrier()) {
+      Barrier(pass, step);
     }
   }
   if (cl->UsesRotation()) {
     DrainReturningParts(*cl);
   }
-  PassEndFlush(*cl);
+  FlushServerBuffers(*cl);  // 2D loops; a 1D loop flushed them every round
 
   // Quiesce the comm thread before reporting: the master treats PassDone as
   // "all of this worker's pass traffic is in", and the direct send below
@@ -1274,12 +1153,7 @@ void Executor::RunPass(i32 loop_id, i32 pass, int spec_depth) {
     // sender lane is quiesced by the Flush above, so its spans are in).
     trace::SetThreadStep(-1);
     trace::Emit(trace::Category::kExecutor, "pass", trace_pass_start_ns, trace::NowNs());
-    done.spans = trace::DrainRank(logical_rank_);
-    if (rank_ != logical_rank_) {
-      // Post-recovery the sender lane keeps its physical-rank tag.
-      std::vector<trace::Span> extra = trace::DrainRank(rank_);
-      done.spans.insert(done.spans.end(), extra.begin(), extra.end());
-    }
+    done.spans = DrainOwnSpans();
   }
   Message m = MakeMessage(rank_, kMasterRank, MsgKind::kControl, Encode(done));
   cached_pass_done_ = m;  // re-answer if the master retransmits kStartPass

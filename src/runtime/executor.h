@@ -4,7 +4,10 @@
 // the master and with ring neighbors through the fabric. One pass of a
 // compiled loop executes the schedule chosen by the planner:
 //
-//   1D        — run every local iteration, flush buffers, report done.
+//   1D        — per step (sync round, ParallelForOptions::server_sync_rounds):
+//               prefetch server reads, run one slice of the local
+//               iterations, flush buffered writes, including server-hosted
+//               ones, so the next round observes them.
 //   rotation  — per step: (drain inbox) wait for the rotated partitions of
 //               this step's time index, prefetch server reads, run the
 //               block, apply/flush buffered writes, forward rotated
@@ -18,6 +21,7 @@
 #include <atomic>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -115,6 +119,8 @@ class Executor {
   // the dirty-range summaries of the steps that completed in between.
   void IssuePrefetch(const CompiledLoop& cl, int tau, int step, int chunk, int num_chunks,
                      bool speculative = false, int issued_during = -1);
+  // Sends one ParamRequest to the master, metered per key when req.per_key.
+  void SendParamRequest(ParamRequest req);
   void AwaitPrefetch(const CompiledLoop& cl, int step);
   // True when step `step`'s key lists are computable without this worker
   // having executed the preceding steps (synthesized program, or a warm
@@ -132,7 +138,6 @@ class Executor {
   void FlushServerBuffers(const CompiledLoop& cl);
   void ApplyLocalBuffers(const CompiledLoop& cl, int tau);
   void StepFlush(const CompiledLoop& cl, int tau, int step);
-  void PassEndFlush(const CompiledLoop& cl);
   void SendRotatedParts(const CompiledLoop& cl, int tau);
   void WaitForPart(DistArrayId array, int tau);
   void Barrier(i32 pass, int step);
@@ -163,12 +168,18 @@ class Executor {
   void ProcessRetire(const Message& msg);
   // Non-blocking drain of queued asynchronous messages.
   void DrainInbox();
-  // Blocking receive that dispatches messages until `pred` matches. Throws
-  // HaltSignal if the fabric shuts down.
-  Message WaitFor(const std::function<bool(const Message&)>& pred);
-  // Like WaitFor but gives up after `seconds` (nullopt on timeout).
-  std::optional<Message> WaitForTimeout(const std::function<bool(const Message&)>& pred,
-                                        double seconds);
+  static constexpr double kForever = std::numeric_limits<double>::infinity();
+  // Blocking receive that dispatches messages until `pred` matches, giving
+  // up after `seconds` (nullopt on timeout). Throws HaltSignal if the fabric
+  // shuts down. The time spent inside counts as report_.wait_seconds.
+  std::optional<Message> WaitFor(const std::function<bool(const Message&)>& pred,
+                                 double seconds = kForever);
+  // Blocks, dispatching every message, until `done` holds; only messages of
+  // `kind` can make it hold.
+  void WaitUntil(MsgKind kind, const std::function<bool()>& done);
+  // This rank's recorded trace spans, including the sender lane's spans
+  // under the physical rank after a recovery renumbered this worker.
+  std::vector<trace::Span> DrainOwnSpans();
 
   void InstallPartData(PartData pd, MsgKind kind);
 
@@ -203,7 +214,8 @@ class Executor {
   // SortUniqueKeys' second buffer, reused by every key list this worker sorts.
   std::vector<i64> key_scratch_;
 
-  // Cached prefetch key lists: (loop, tau, array) -> keys.
+  // Cached prefetch key lists: (loop, step, array) -> keys. The block a
+  // worker runs at a step is the same every pass (see CanIssueEarly).
   std::map<std::tuple<i32, int, DistArrayId>, std::vector<i64>> prefetch_key_cache_;
 
   // Comm thread for eager sends; Flush()ed at every ordering point (barrier
@@ -216,7 +228,9 @@ class Executor {
   // this worker will execute, back is the deepest issued. Replies are routed
   // by their step id (PartData::part) into the matching slot's buffers;
   // anything that matches no slot is stale traffic from an abandoned pass and
-  // is dropped. Depth is bounded by ParallelForOptions::prefetch_depth.
+  // is dropped. Depth is bounded by ParallelForOptions::prefetch_depth for
+  // pipelined rotation, and by the speculation depth the master ships in
+  // StartPass for ordered loops.
   struct PrefetchSlot {
     int step = -1;
     int expected = 0;     // requests sent for this step

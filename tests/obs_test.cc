@@ -297,9 +297,7 @@ TEST(ObsEndpoint, RenderEscapesAndSanitizesNames) {
 // ---- Straggler detector ----
 
 TEST(ObsAnomaly, UnitFlagAfterConfirmRoundsAndVerdict) {
-  obs::StragglerOptions opt;
-  opt.confirm_rounds = 3;
-  obs::StragglerDetector det(opt);
+  obs::StragglerDetector det;
   // Too few ranks: ignored entirely.
   det.ObserveRound({{0, 1.0}, {1, 5.0}});
   EXPECT_EQ(det.rounds(), 0u);
