@@ -1,14 +1,20 @@
 // Library micro-benchmarks (google-benchmark): the static-analysis path
 // (subscript classification, dependence vectors, planning), storage
-// primitives, and schedule math. These quantify the "compilation" cost the
-// paper amortizes by compiling each loop once (Sec. 4.1).
+// primitives, the worker's buffered-update and key sort-unique paths, and
+// schedule math. These quantify the "compilation" cost the paper amortizes
+// by compiling each loop once (Sec. 4.1).
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "src/analysis/dependence.h"
 #include "src/analysis/plan.h"
 #include "src/analysis/unimodular.h"
 #include "src/common/rng.h"
+#include "src/dsm/bucket.h"
 #include "src/dsm/cell_store.h"
+#include "src/dsm/dist_array_buffer.h"
 #include "src/ir/expr.h"
 #include "src/sched/schedule.h"
 
@@ -104,6 +110,59 @@ void BM_CellStoreSerializeRoundtrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CellStoreSerializeRoundtrip);
+
+// SLR-shaped buffered updates: a 20k-update stream over 50k cells in which a
+// quarter of the updates are a key's first touch, accumulated and drained.
+void BM_BufferAccumulate(benchmark::State& state) {
+  constexpr i64 kCells = 50000;
+  constexpr int kUnique = 5000;
+  constexpr int kRepeats = 4;
+  Rng rng(3);
+  std::vector<i64> unique;
+  std::vector<bool> taken(kCells, false);
+  while (static_cast<int>(unique.size()) < kUnique) {
+    const i64 k = rng.NextIndex(kCells);
+    if (!taken[static_cast<size_t>(k)]) {
+      taken[static_cast<size_t>(k)] = true;
+      unique.push_back(k);
+    }
+  }
+  std::vector<i64> stream;
+  for (int r = 0; r < kRepeats; ++r) {
+    stream.insert(stream.end(), unique.begin(), unique.end());
+  }
+  for (size_t i = stream.size() - 1; i > 0; --i) {
+    std::swap(stream[i], stream[static_cast<size_t>(rng.NextIndex(static_cast<i64>(i) + 1))]);
+  }
+  DistArrayBuffer buf(0, 1, kCells, MakeAddApplyFn());
+  const f32 update = 0.5f;
+  for (auto _ : state) {
+    for (const i64 key : stream) {
+      buf.Accumulate(key, &update);
+    }
+    benchmark::DoNotOptimize(buf.Drain());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<i64>(stream.size()));
+}
+BENCHMARK(BM_BufferAccumulate);
+
+// A prefetch key list: 12k keys drawn over 50k (dense range, duplicates).
+void BM_SortUniqueKeysDenseRange(benchmark::State& state) {
+  Rng rng(5);
+  std::vector<i64> keys(12000);
+  for (i64& k : keys) {
+    k = rng.NextIndex(50000);
+  }
+  std::vector<i64> work;
+  std::vector<i64> scratch;
+  for (auto _ : state) {
+    work = keys;
+    SortUniqueKeys(&work, &scratch);
+    benchmark::DoNotOptimize(work.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<i64>(keys.size()));
+}
+BENCHMARK(BM_SortUniqueKeysDenseRange);
 
 void BM_RotationScheduleMath(benchmark::State& state) {
   RotationSchedule sched{16, 2};

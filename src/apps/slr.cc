@@ -76,6 +76,7 @@ Status SlrApp::Init(const std::vector<SparseSample>& samples, i64 num_features) 
                  /*buffered=*/true);
 
   const bool adarev = config_.adarev;
+  const size_t max_nnz = static_cast<size_t>(config_.max_nnz);
   const int acc = loss_acc_;
   auto step = step_;
   DistArrayId weights = weights_;
@@ -83,16 +84,16 @@ Status SlrApp::Init(const std::vector<SparseSample>& samples, i64 num_features) 
     const f32 label = value[0];
     const int n = static_cast<int>(value[1]);
     // First sweep: margin (this is also what the synthesized prefetch pass
-    // replays to record the weight subscripts).
-    thread_local std::vector<f64> wcache;
-    thread_local std::vector<f64> gseen;
-    wcache.assign(static_cast<size_t>(n), 0.0);
-    gseen.assign(static_cast<size_t>(n), 0.0);
+    // replays to record the weight subscripts). AdaRev keeps each weight's
+    // gradient sum as read here, for the update's delay compensation.
+    thread_local std::vector<f32> gseen;
+    if (adarev && gseen.size() < max_nnz) {
+      gseen.resize(max_nnz);
+    }
     f64 margin = 0.0;
     for (int f = 0; f < n; ++f) {
       const i64 id[1] = {static_cast<i64>(value[2 + 2 * f])};
       const f32* w = ctx.Read(weights, id);
-      wcache[static_cast<size_t>(f)] = w[0];
       if (adarev) {
         gseen[static_cast<size_t>(f)] = w[2];
       }
@@ -106,7 +107,7 @@ Status SlrApp::Init(const std::vector<SparseSample>& samples, i64 num_features) 
       const i64 id[1] = {static_cast<i64>(value[2 + 2 * f])};
       const f32 g = err * value[3 + 2 * f];
       if (adarev) {
-        const f32 update[2] = {g, static_cast<f32>(gseen[static_cast<size_t>(f)])};
+        const f32 update[2] = {g, gseen[static_cast<size_t>(f)]};
         ctx.BufferUpdate(weights, id, update);
       } else {
         const f32 update = -eps * g;

@@ -8,12 +8,14 @@
 // that order.
 //
 // SortUniqueKeys: the same counting sort, one radix digit at a time, turns a
-// key list into its sorted, duplicate-free form in time linear in its length.
+// key list into its sorted, duplicate-free form in time linear in its length;
+// a list over a dense key range takes one bitmap pass instead.
 #ifndef ORION_SRC_DSM_BUCKET_H_
 #define ORION_SRC_DSM_BUCKET_H_
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -60,11 +62,13 @@ inline void BucketCells(const std::vector<CellRef>& cells, const std::vector<u32
 }
 
 // Sorts *keys ascending and drops duplicates: exactly what std::sort followed
-// by std::unique leaves, for any keys, in time linear in their number. An LSD
-// radix sort, 8 bits a pass, over each key's unsigned offset from the list's
-// minimum, so it runs only the passes the list's key range needs: two for a
-// range below 2^16, all eight only for a range of 2^56 or more.
-// *scratch is the second buffer of the ping-pong; its contents are
+// by std::unique leaves, for any keys, in time linear in their number.
+// A list whose key range is dense — a bitmap over it no larger than the list
+// itself — sets one bit per key and reads the set bits back in order.
+// Otherwise an LSD radix sort, 8 bits a pass, over each key's unsigned offset
+// from the list's minimum runs only the passes the list's key range needs:
+// two for a range below 2^16, all eight only for a range of 2^56 or more.
+// *scratch is the bitmap or the radix sort's second buffer; its contents are
 // overwritten, and a caller that sorts many lists reuses one scratch.
 inline void SortUniqueKeys(std::vector<i64>* keys, std::vector<i64>* scratch) {
   if (keys->size() < 2) {
@@ -81,6 +85,23 @@ inline void SortUniqueKeys(std::vector<i64>* keys, std::vector<i64>* scratch) {
   // Unsigned wrap-around makes every offset exact: max - min fits in u64.
   const u64 lo = static_cast<u64>(min);
   const u64 range = static_cast<u64>(max) - lo;
+  if (range / 64 < keys->size()) {
+    // range / 64 + 1 bitmap words: no more than the radix pass's scratch.
+    scratch->assign(static_cast<size_t>(range / 64) + 1, 0);
+    for (const i64 k : *keys) {
+      const u64 off = static_cast<u64>(k) - lo;
+      (*scratch)[off >> 6] |= static_cast<i64>(u64{1} << (off & 63));
+    }
+    size_t n = 0;
+    for (size_t w = 0; w < scratch->size(); ++w) {
+      for (u64 bits = static_cast<u64>((*scratch)[w]); bits != 0; bits &= bits - 1) {
+        const u64 off = (static_cast<u64>(w) << 6) + static_cast<u64>(std::countr_zero(bits));
+        (*keys)[n++] = static_cast<i64>(lo + off);
+      }
+    }
+    keys->resize(n);
+    return;
+  }
   scratch->resize(keys->size());
   std::vector<i64>* from = keys;
   std::vector<i64>* to = scratch;

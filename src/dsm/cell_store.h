@@ -16,6 +16,7 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/serde.h"
@@ -56,6 +57,18 @@ class CellStore {
     return s;
   }
 
+  // A hashed store holding keys[i] -> values[i*value_dim, (i+1)*value_dim),
+  // with insertion order the order of `keys`. CHECKs that no key repeats.
+  static CellStore Hashed(i32 value_dim, std::vector<i64> keys, std::vector<f32> values) {
+    CellStore s(value_dim, Layout::kHashed, 0);
+    ORION_CHECK(values.size() == keys.size() * static_cast<size_t>(value_dim));
+    s.keys_ = std::move(keys);
+    s.values_ = std::move(values);
+    const i64 dup = s.IndexKeys();
+    ORION_CHECK(dup < 0) << "cell store repeats key" << s.keys_[static_cast<size_t>(dup)];
+    return s;
+  }
+
   i32 value_dim() const { return value_dim_; }
   Layout layout() const { return layout_; }
   bool IsDense() const { return layout_ != Layout::kHashed; }
@@ -75,6 +88,18 @@ class CellStore {
     }
     const i64 slot = index_.Find(key);
     return slot < 0 ? nullptr : values_.data() + static_cast<size_t>(slot) * value_dim_;
+  }
+
+  // Like Get, but a key outside a dense range is absent (nullptr) instead of
+  // a CHECK failure: for caches whose dense range spans only the keys that
+  // were fetched.
+  const f32* Find(i64 key) const {
+    if (IsDense()) {
+      return key >= range_lo_ && key <= range_hi_
+                 ? values_.data() + static_cast<size_t>(key - range_lo_) * value_dim_
+                 : nullptr;
+    }
+    return Get(key);
   }
 
   // Returns a mutable span, inserting a zero-initialized cell if absent.
@@ -227,13 +252,8 @@ class CellStore {
       ORION_CHECK(static_cast<i64>(s.values_.size()) == (hi - lo + 1) * value_dim);
       return s;
     }
-    CellStore s(value_dim, Layout::kHashed, 0);
-    s.keys_ = r->GetVec<i64>();
-    s.values_ = r->GetVec<f32>();
-    ORION_CHECK(s.values_.size() == s.keys_.size() * static_cast<size_t>(value_dim));
-    const i64 dup = s.IndexKeys();
-    ORION_CHECK(dup < 0) << "cell store repeats key" << s.keys_[static_cast<size_t>(dup)];
-    return s;
+    std::vector<i64> keys = r->GetVec<i64>();
+    return Hashed(value_dim, std::move(keys), r->GetVec<f32>());
   }
 
   // Bounds-checked deserialization for untrusted bytes (checkpoint files):

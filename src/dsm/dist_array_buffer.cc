@@ -10,10 +10,4 @@ BufferApplyFn MakeAddApplyFn() {
   };
 }
 
-BufferCombineFn MakeAddCombineFn() {
-  return [](f32* pending, const f32* incoming, i32 update_dim) {
-    simd::AddF32(pending, incoming, static_cast<size_t>(update_dim));
-  };
-}
-
 }  // namespace orion

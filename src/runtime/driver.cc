@@ -233,13 +233,14 @@ DistArrayId Driver::GroupByDim(DistArrayId src, int dim, const std::string& name
 // ---------------------------------------------------------------------------
 // Buffers & accumulators
 
-void Driver::RegisterBuffer(DistArrayId target, i32 update_dim, BufferApplyFn apply,
-                            BufferCombineFn combine) {
+void Driver::RegisterBuffer(DistArrayId target, i32 update_dim, BufferApplyFn apply) {
+  // Workers accumulate buffered updates in place, indexed by key.
+  ORION_CHECK(Meta(target).density == Density::kDense)
+      << "DistArray Buffer target" << Meta(target).name << "is sparse";
   auto def = std::make_shared<BufferDef>();
   def->target = target;
   def->update_dim = update_dim;
   def->apply = std::move(apply);
-  def->combine = std::move(combine);
   dir_.PutBufferDef(std::move(def));
 }
 

@@ -130,11 +130,10 @@ class Driver {
 
   // ---- Buffers and accumulators ----
 
-  // Registers the DistArray Buffer for `target`; kernels may then call
-  // LoopContext::BufferUpdate on it. Must be called before Compile of any
-  // loop whose kernel updates the buffer.
-  void RegisterBuffer(DistArrayId target, i32 update_dim, BufferApplyFn apply,
-                      BufferCombineFn combine = MakeAddCombineFn());
+  // Registers the DistArray Buffer for `target`, which must be dense; kernels
+  // may then call LoopContext::BufferUpdate on it. Must be called before
+  // Compile of any loop whose kernel updates the buffer.
+  void RegisterBuffer(DistArrayId target, i32 update_dim, BufferApplyFn apply);
 
   // Creates an accumulator with the given reduction operator (paper
   // Sec. 3.4: worker-local instances combined with a commutative,

@@ -58,7 +58,7 @@ class WorkerLoopContext : public LoopContext {
         const bool existed = r.st->server_dirty.Contains(key);
         f32* dirty = r.st->server_dirty.GetOrCreate(key);
         if (!existed) {
-          const f32* cur = r.st->prefetch_cache.Get(key);
+          const f32* cur = r.st->prefetch_cache.Find(key);
           if (cur != nullptr) {
             simd::CopyF32(dirty, cur, static_cast<size_t>(r.st->meta.value_dim));
           }
@@ -75,12 +75,14 @@ class WorkerLoopContext : public LoopContext {
   void BufferUpdate(DistArrayId array, IdxSpan idx, const f32* update) override {
     Resolved& r = Resolve(array);
     const i64 key = r.st->meta.key_space.EncodeUnchecked(idx);
-    DistArrayBuffer& buf = ex_->GetBuffer(array);
-    buf.Accumulate(key, update);
+    if (r.buf == nullptr) {
+      r.buf = &ex_->GetBuffer(array);  // heap-held, stable for the pass
+    }
+    r.buf->Accumulate(key, update);
     if (r.scheme == PartitionScheme::kReplicated) {
       // Apply to the local replica immediately so this worker sees its own
       // updates (the flush to the master happens at step end).
-      buf.apply_fn()(r.st->replica.GetOrCreate(key), update, r.st->meta.value_dim);
+      r.buf->apply_fn()(r.st->replica.GetOrCreate(key), update, r.st->meta.value_dim);
     }
   }
 
@@ -96,6 +98,7 @@ class WorkerLoopContext : public LoopContext {
     PartitionScheme scheme = PartitionScheme::kUnpartitioned;
     Executor::ArrayState* st = nullptr;
     CellStore* store = nullptr;
+    DistArrayBuffer* buf = nullptr;        // BufferUpdate's target buffer
     std::vector<i64>* recorded = nullptr;  // RecordingLoopContext's key list
   };
 
@@ -141,12 +144,13 @@ class WorkerLoopContext : public LoopContext {
   }
 
   virtual const f32* ReadServer(Resolved& r, i64 key) {
-    // Dirty (written this step) wins over the prefetched snapshot.
+    // Dirty (written this step) wins over the prefetched snapshot. A key the
+    // prefetch did not fetch is absent, also outside a dense cache's range.
     const f32* dirty = r.st->server_dirty.Get(key);
     if (dirty != nullptr) {
       return dirty;
     }
-    return r.st->prefetch_cache.Get(key);
+    return r.st->prefetch_cache.Find(key);
   }
 
   virtual const f32* ReadIterSpace(Resolved& r, i64 key) {
@@ -198,6 +202,27 @@ class RecordingLoopContext : public WorkerLoopContext {
 // ---------------------------------------------------------------------------
 // Executor
 
+namespace {
+
+// The store a prefetch slot's replies for `keys` (sorted, unique) land in:
+// the dense range [front, back] when it costs no more memory than a hashed
+// store of the keys, so reply install and Read are direct offsets.
+CellStore PrefetchLandingPad(i32 value_dim, const std::vector<i64>& keys) {
+  // Per cell, a hashed store costs its value, its key and its index slots;
+  // the dense range costs only values, but also for the keys in between.
+  constexpr u64 kHashedKeyBytes = 32;
+  const u64 value_bytes = 4 * static_cast<u64>(value_dim);
+  if (!keys.empty()) {
+    const u64 span = static_cast<u64>(keys.back()) - static_cast<u64>(keys.front());
+    if (span < keys.size() * (kHashedKeyBytes + value_bytes) / value_bytes) {
+      return CellStore::DenseRange(value_dim, keys.front(), keys.back());
+    }
+  }
+  return CellStore(value_dim, CellStore::Layout::kHashed, 0);
+}
+
+}  // namespace
+
 Executor::Executor(WorkerId rank, Fabric* fabric, const SharedDirectory* dir)
     : rank_(rank), fabric_(fabric), dir_(dir), logical_rank_(rank), sender_(fabric, 1, rank) {
   ring_.resize(static_cast<size_t>(fabric->num_workers()));
@@ -229,8 +254,9 @@ DistArrayBuffer& Executor::GetBuffer(DistArrayId target) {
     ORION_CHECK(def != nullptr) << "BufferUpdate on array" << target
                                 << "without a registered DistArray Buffer";
     it = buffers_
-             .emplace(target, std::make_unique<DistArrayBuffer>(target, def->update_dim,
-                                                                def->apply, def->combine))
+             .emplace(target, std::make_unique<DistArrayBuffer>(
+                                  target, def->update_dim, GetArray(target).meta.num_cells(),
+                                  def->apply))
              .first;
   }
   return *it->second;
@@ -683,11 +709,10 @@ void Executor::IssuePrefetch(const CompiledLoop& cl, int tau, int step, int chun
   const bool per_key = cl.options.prefetch == PrefetchMode::kPerKey;
   for (DistArrayId array : cl.server_arrays) {
     const ArrayState& st = GetArray(array);
-    slot.buffers.emplace(array,
-                         CellStore(st.meta.value_dim, CellStore::Layout::kHashed, 0));
     auto it = recorded.find(array);
     const std::vector<i64> empty;
     const std::vector<i64>& keys = it != recorded.end() ? it->second : empty;
+    slot.buffers.emplace(array, PrefetchLandingPad(st.meta.value_dim, keys));
     if (speculative) {
       // Remember what was requested (sorted/unique from the collector) so
       // the await can intersect it with the dirty ranges of intervening
@@ -767,7 +792,7 @@ void Executor::AwaitPrefetch(const CompiledLoop& cl, int step) {
     if (it != slot.buffers.end()) {
       st.prefetch_cache = std::move(it->second);
     } else {
-      st.prefetch_cache.Clear();
+      st.prefetch_cache = CellStore(st.meta.value_dim, CellStore::Layout::kHashed, 0);
     }
   }
   if (slot.speculative) {

@@ -71,7 +71,11 @@ class Executor {
     CellStore range_store;             // kRange cells owned by this worker
     std::map<int, CellStore> parts;    // rotated / iteration-space partitions
     CellStore replica;                 // kReplicated full copy
-    CellStore prefetch_cache;          // kServer prefetched reads
+    // kServer prefetched reads: the landing pad of the step's prefetch slot,
+    // dense over the key list's range when that costs no more memory than
+    // hashed. Look up with Find: an unfetched key is absent, also outside
+    // the dense range.
+    CellStore prefetch_cache;
     CellStore server_dirty;            // kServer unbuffered writes (overwrite)
     std::vector<f32> zeros;            // absent-cell read span
 

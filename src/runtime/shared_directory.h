@@ -71,12 +71,11 @@ struct SupervisorConfig {
 };
 
 // A DistArray Buffer definition: how updates routed through the buffer for
-// `target` are coalesced and applied.
+// `target` are applied (pending updates to one cell coalesce by addition).
 struct BufferDef {
   DistArrayId target = kInvalidDistArrayId;
   i32 update_dim = 1;
   BufferApplyFn apply;
-  BufferCombineFn combine;
 };
 
 class SharedDirectory {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <optional>
@@ -447,6 +448,38 @@ TEST(SortUniqueKeys, ReusesOneScratchAcrossSizes) {
   }
 }
 
+// A list of n keys takes the bitmap pass when its range / 64 < n, and the
+// radix passes otherwise; lists on both sides of that line, anchored at
+// negative keys and at both ends of i64, match sort + unique.
+TEST(SortUniqueKeys, MatchesSortThenUniqueAcrossTheBitmapThreshold) {
+  Rng rng(23);
+  std::vector<i64> scratch;
+  for (const i64 lo : {i64{0}, i64{-5000}, kI64Min, kI64Max - 64 * 400}) {
+    for (const size_t n : {2, 3, 64, 400}) {
+      const i64 bitmap_range = 64 * static_cast<i64>(n) - 1;  // range / 64 == n - 1
+      for (const i64 range : {bitmap_range, bitmap_range + 1, i64{0}, i64{63}}) {
+        std::vector<i64> keys(n);
+        for (i64& k : keys) {
+          k = lo + rng.NextIndex(range + 1);
+        }
+        keys[0] = lo;  // pin the range's two ends
+        keys[n - 1] = lo + range;
+        EXPECT_EQ(SortUnique(keys, &scratch), SortThenUnique(keys))
+            << "lo " << lo << ", range " << range << ", " << n << " keys";
+      }
+    }
+  }
+  const std::vector<std::vector<i64>> extremes = {
+      {kI64Max, kI64Max - 3, kI64Max, kI64Max - 1},  // dense at the top
+      {kI64Min + 2, kI64Min, kI64Min + 2, kI64Min},   // dense at the bottom
+      {-1, 1, 0, -1, -2, 2},                           // dense around zero
+      {kI64Min, kI64Max, kI64Min},                     // widest range: radix
+  };
+  for (size_t i = 0; i < extremes.size(); ++i) {
+    EXPECT_EQ(SortUnique(extremes[i], &scratch), SortThenUnique(extremes[i])) << "list " << i;
+  }
+}
+
 // ---- RangeSplits / histograms ----
 
 TEST(RangeSplits, EqualWidthCoversRange) {
@@ -498,7 +531,7 @@ TEST(RangeSplits, HistogramBalancesSkew) {
 // ---- DistArray buffers ----
 
 TEST(Buffer, CoalescesAndApplies) {
-  DistArrayBuffer buf(7, 2, MakeAddApplyFn(), MakeAddCombineFn());
+  DistArrayBuffer buf(7, 2, /*num_cells=*/16, MakeAddApplyFn());
   const f32 u1[2] = {1.0f, 2.0f};
   const f32 u2[2] = {3.0f, 4.0f};
   buf.Accumulate(5, u1);
@@ -520,13 +553,77 @@ TEST(Buffer, CustomApplyUdf) {
   auto apply = [](f32* cell, const f32* update, i32) {
     cell[0] = std::max(cell[0], update[0]);
   };
-  DistArrayBuffer buf(7, 1, apply, MakeAddCombineFn());
+  DistArrayBuffer buf(7, 1, /*num_cells=*/16, apply);
   const f32 u = 5.0f;
   buf.Accumulate(1, &u);
   CellStore target(1, CellStore::Layout::kHashed, 0);
   target.GetOrCreate(1)[0] = 3.0f;
   DistArrayBuffer::ApplyTo(&target, buf.Drain(), buf.apply_fn());
   EXPECT_FLOAT_EQ(target.Get(1)[0], 5.0f);
+}
+
+// The in-place buffer drains what a hashed store accumulating the same
+// stream would hold: the same keys in first-touch order and bit-identical
+// sums, and after a drain it starts again from zero.
+TEST(Buffer, InPlaceDrainMatchesHashedAccumulate) {
+  constexpr i64 kCells = 500;
+  Rng rng(41);
+  for (const i32 dim : {1, 3}) {
+    DistArrayBuffer buf(7, dim, kCells, MakeAddApplyFn());
+    for (int round = 0; round < 3; ++round) {  // drain, then reuse the buffer
+      CellStore want(dim, CellStore::Layout::kHashed, 0);
+      std::vector<f32> update(static_cast<size_t>(dim));
+      for (int i = 0; i < 2000; ++i) {
+        // Repeated keys: about 25% of the stream is a key's first touch.
+        const i64 key = round == 1 ? kCells - 1 - rng.NextIndex(40) : rng.NextIndex(kCells);
+        for (f32& u : update) {
+          u = static_cast<f32>(rng.NextIndex(2001) - 1000) / 7.0f;
+        }
+        buf.Accumulate(key, update.data());
+        f32* slot = want.GetOrCreate(key);
+        for (i32 j = 0; j < dim; ++j) {
+          slot[j] += update[static_cast<size_t>(j)];
+        }
+      }
+      EXPECT_EQ(buf.NumPending(), want.NumCells());
+      const CellStore got = buf.Drain();
+      EXPECT_EQ(buf.NumPending(), 0);
+      EXPECT_EQ(got.value_dim(), dim);
+      EXPECT_EQ(got.keys(), want.keys()) << "dim " << dim << ", round " << round;
+      ASSERT_EQ(got.raw_values().size(), want.raw_values().size());
+      EXPECT_EQ(0, std::memcmp(got.raw_values().data(), want.raw_values().data(),
+                               want.raw_values().size() * sizeof(f32)))
+          << "dim " << dim << ", round " << round;
+      for (const i64 key : want.keys()) {  // the drained store is indexed
+        ASSERT_NE(got.Get(key), nullptr);
+        EXPECT_EQ(0, std::memcmp(got.Get(key), want.Get(key), sizeof(f32) * dim));
+      }
+    }
+    EXPECT_EQ(buf.Drain().NumCells(), 0);
+  }
+}
+
+TEST(Buffer, KeyOutsideCellRangeDies) {
+  DistArrayBuffer buf(7, 1, /*num_cells=*/16, MakeAddApplyFn());
+  const f32 u = 1.0f;
+  buf.Accumulate(15, &u);
+  EXPECT_DEATH(buf.Accumulate(16, &u), "outside");
+  EXPECT_DEATH(buf.Accumulate(-1, &u), "outside");
+}
+
+TEST(CellStore, FindTreatsKeysOutsideADenseRangeAsAbsent) {
+  CellStore dense = CellStore::DenseRange(2, 40, 59);
+  dense.GetOrCreate(40)[1] = 3.0f;
+  ASSERT_NE(dense.Find(40), nullptr);
+  EXPECT_EQ(dense.Find(40)[1], 3.0f);
+  EXPECT_EQ(dense.Find(59), dense.Get(59));
+  EXPECT_EQ(dense.Find(39), nullptr);
+  EXPECT_EQ(dense.Find(60), nullptr);
+  EXPECT_EQ(dense.Find(kI64Min), nullptr);
+  CellStore hashed(2, CellStore::Layout::kHashed, 0);
+  hashed.GetOrCreate(7);
+  EXPECT_EQ(hashed.Find(7), hashed.Get(7));
+  EXPECT_EQ(hashed.Find(8), nullptr);
 }
 
 // ---- Randomize ----
