@@ -15,7 +15,10 @@
 #include "src/dsm/bucket.h"
 #include "src/dsm/cell_store.h"
 #include "src/dsm/dist_array_buffer.h"
+#include "src/dsm/versioned_store.h"
 #include "src/ir/expr.h"
+#include "src/runtime/param_server.h"
+#include "src/runtime/protocol.h"
 #include "src/sched/schedule.h"
 
 namespace orion {
@@ -163,6 +166,56 @@ void BM_SortUniqueKeysDenseRange(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<i64>(keys.size()));
 }
 BENCHMARK(BM_SortUniqueKeysDenseRange);
+
+// An SLR prefetch request's key list: 12k sorted, unique keys over 50k.
+std::vector<i64> SortedPrefetchKeys() {
+  Rng rng(7);
+  std::vector<i64> keys(12000);
+  for (i64& k : keys) {
+    k = rng.NextIndex(50000);
+  }
+  std::vector<i64> scratch;
+  SortUniqueKeys(&keys, &scratch);
+  return keys;
+}
+
+// A ParamRequest for that list: sized (all the fabric does on the zero-copy
+// path) or encoded (the serialized path, which sizes to reserve first).
+void BM_KeyListEncode(benchmark::State& state, bool encode) {
+  ParamRequest req{0, 0, SortedPrefetchKeys()};
+  for (auto _ : state) {
+    if (encode) {
+      benchmark::DoNotOptimize(Encode(req));
+    } else {
+      benchmark::DoNotOptimize(WireSize(req));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<i64>(req.keys.size()));
+  state.counters["bytes_per_key"] =
+      static_cast<double>(WireSize(req)) / static_cast<double>(req.keys.size());
+}
+BENCHMARK_CAPTURE(BM_KeyListEncode, wire_size, false);
+BENCHMARK_CAPTURE(BM_KeyListEncode, encode, true);
+
+// The master's gather for that list from a pinned snapshot of a 50k-cell
+// dense array, on the zero-copy path (no encode).
+void BM_BuildParamReply(benchmark::State& state) {
+  constexpr i64 kCells = 50000;
+  const ParamRequest req{0, 0, SortedPrefetchKeys()};
+  CellStore dense(1, CellStore::Layout::kFullDense, kCells);
+  for (i64 k = 0; k < kCells; ++k) {
+    dense.GetOrCreate(k)[0] = static_cast<f32>(k);
+  }
+  VersionedCellStore store(std::move(dense));
+  store.BeginServing();
+  const VersionedCellStore::Snapshot snap = store.Pin();
+  for (auto _ : state) {
+    Message reply = BuildParamReply(req, snap, 1, /*zero_copy=*/true);
+    benchmark::DoNotOptimize(reply.WireSize());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<i64>(req.keys.size()));
+}
+BENCHMARK(BM_BuildParamReply);
 
 void BM_RotationScheduleMath(benchmark::State& state) {
   RotationSchedule sched{16, 2};

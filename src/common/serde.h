@@ -7,6 +7,7 @@
 #define ORION_SRC_COMMON_SERDE_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -65,6 +66,24 @@ class ByteWriter {
     buf_.insert(buf_.end(), p, p + n);
   }
 
+  // LEB128: seven bits per byte, low bits first, high bit set on every byte
+  // but the last. Writes VarintSize(v) bytes at `out` and returns the count.
+  static size_t EncodeVarint(u64 v, u8* out) {
+    size_t n = 0;
+    for (; v >= 0x80; v >>= 7) {
+      out[n++] = static_cast<u8>(v | 0x80);
+    }
+    out[n++] = static_cast<u8>(v);
+    return n;
+  }
+
+  // ceil(bit_width / 7) for bit widths 1..64, without a division.
+  static size_t VarintSize(u64 v) {
+    return (static_cast<size_t>(std::bit_width(v | 1)) * 9 + 64) / 64;
+  }
+
+  static constexpr size_t kMaxVarintBytes = 10;
+
   size_t size() const { return buf_.size(); }
   std::vector<u8> Take() { return std::move(buf_); }
   const std::vector<u8>& bytes() const { return buf_; }
@@ -112,6 +131,21 @@ class ByteReader {
     std::memcpy(&v, data_ + pos_, sizeof(T));
     pos_ += sizeof(T);
     return v;
+  }
+
+  // Reads one EncodeVarint value; a varint cut short CHECK-fails as an
+  // overrun.
+  u64 GetVarint() {
+    u64 v = 0;
+    for (unsigned shift = 0;; shift += 7) {
+      ORION_CHECK(pos_ < size_) << "ByteReader overrun";
+      const u8 b = data_[pos_++];
+      ORION_CHECK(shift < 63 || b <= 1) << "ByteReader varint overflows 64 bits";
+      v |= static_cast<u64>(b & 0x7f) << shift;
+      if (b < 0x80) {
+        return v;
+      }
+    }
   }
 
   std::string GetString() {

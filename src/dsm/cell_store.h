@@ -57,6 +57,23 @@ class CellStore {
     return s;
   }
 
+  // A dense store of `layout` over keys [lo, hi] holding `values` in key
+  // order. CHECKs that the value count fits the range.
+  static CellStore Dense(i32 value_dim, Layout layout, i64 lo, i64 hi, std::vector<f32> values) {
+    ORION_CHECK(layout == Layout::kFullDense || layout == Layout::kDenseRange);
+    ORION_CHECK(layout != Layout::kFullDense || lo == 0) << "a full dense store starts at key 0";
+    ORION_CHECK(value_dim > 0);
+    ORION_CHECK(hi >= lo - 1);
+    ORION_CHECK(static_cast<i64>(values.size()) == (hi - lo + 1) * value_dim);
+    CellStore s;
+    s.value_dim_ = value_dim;
+    s.layout_ = layout;
+    s.range_lo_ = lo;
+    s.range_hi_ = hi;
+    s.values_ = std::move(values);
+    return s;
+  }
+
   // A hashed store holding keys[i] -> values[i*value_dim, (i+1)*value_dim),
   // with insertion order the order of `keys`. CHECKs that no key repeats.
   static CellStore Hashed(i32 value_dim, std::vector<i64> keys, std::vector<f32> values) {
@@ -213,10 +230,12 @@ class CellStore {
     values_.clear();
   }
 
-  // ---- Serialization (fabric payloads & checkpoints) ----
+  // ---- Serialization (checkpoints and the delta log) ----
+  //
+  // The durable format. The fabric's wire codec (runtime/protocol.h) writes
+  // the same bytes for dense stores but a compact key list for hashed ones.
 
-  // Exact number of bytes Serialize() produces — the wire size the fabric
-  // charges when the cells travel by reference instead of by value.
+  // Exact number of bytes Serialize() produces.
   size_t SerializedBytes() const {
     size_t n = sizeof(i32) + sizeof(u8);  // value_dim + layout
     if (IsDense()) {
@@ -246,11 +265,7 @@ class CellStore {
     if (layout != Layout::kHashed) {
       const i64 lo = r->Get<i64>();
       const i64 hi = r->Get<i64>();
-      CellStore s = DenseRange(value_dim, lo, hi);
-      s.layout_ = layout;
-      s.values_ = r->GetVec<f32>();
-      ORION_CHECK(static_cast<i64>(s.values_.size()) == (hi - lo + 1) * value_dim);
-      return s;
+      return Dense(value_dim, layout, lo, hi, r->GetVec<f32>());
     }
     std::vector<i64> keys = r->GetVec<i64>();
     return Hashed(value_dim, std::move(keys), r->GetVec<f32>());
@@ -258,8 +273,8 @@ class CellStore {
 
   // Bounds-checked deserialization for untrusted bytes (checkpoint files):
   // returns a descriptive Status instead of CHECK-aborting on truncated or
-  // internally inconsistent input. The fabric keeps using Deserialize, whose
-  // CHECKs guard against programming errors, not corrupt media.
+  // internally inconsistent input. Deserialize CHECKs instead: its callers
+  // read bytes this process wrote, so a failure is a programming error.
   static StatusOr<CellStore> TryDeserialize(ByteReader* r) {
     const auto value_dim = r->TryGet<i32>();
     const auto layout_byte = r->TryGet<u8>();

@@ -12,12 +12,15 @@
 // indexed by key, a bitmap of touched cells, and the touched keys in
 // first-touch order. Accumulate adds into the key's slot with one IEEE add
 // per lane, so pending updates coalesce by addition without a hash or an
-// allocation. Drain emits the touched cells in first-touch order (the
-// insertion order a hashed store would give them) and re-zeroes only those.
+// allocation. Drain emits the touched cells in ascending key order, so a
+// flushed kParamUpdate's key list travels as small deltas, and re-zeroes
+// only those cells. Every apply UDF touches only its own cell, so the order
+// cells are applied in does not change the result.
 #ifndef ORION_SRC_DSM_DIST_ARRAY_BUFFER_H_
 #define ORION_SRC_DSM_DIST_ARRAY_BUFFER_H_
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -71,9 +74,10 @@ class DistArrayBuffer {
 
   i64 NumPending() const { return static_cast<i64>(order_.size()); }
 
-  // Drains the pending updates into a hashed store, in first-touch order
+  // Drains the pending updates into a hashed store, in ascending key order
   // (leaves the buffer empty).
   CellStore Drain() {
+    SortTouched();
     const size_t dim = static_cast<size_t>(update_dim_);
     std::vector<f32> values(order_.size() * dim);
     f32* out = values.data();
@@ -100,13 +104,28 @@ class DistArrayBuffer {
   }
 
  private:
+  // Puts order_ in ascending key order: a scan of the touched bitmap when it
+  // has fewer words than there are touched keys, a sort otherwise.
+  void SortTouched() {
+    if (touched_.size() >= order_.size()) {
+      std::sort(order_.begin(), order_.end());
+      return;
+    }
+    size_t n = 0;
+    for (size_t w = 0; w < touched_.size(); ++w) {
+      for (u64 bits = touched_[w]; bits != 0; bits &= bits - 1) {
+        order_[n++] = static_cast<i64>(w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+      }
+    }
+  }
+
   DistArrayId target_;
   i32 update_dim_;
   i64 num_cells_;
   BufferApplyFn apply_;
   std::vector<f32> pending_;  // num_cells x update_dim, zero where untouched
   std::vector<u64> touched_;  // bit k: key k has a pending update
-  std::vector<i64> order_;    // touched keys, first-touch order
+  std::vector<i64> order_;    // touched keys, first-touch order until Drain
 };
 
 }  // namespace orion

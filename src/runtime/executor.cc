@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <thread>
+#include <utility>
 
 #include "src/common/buffer_pool.h"
 #include "src/common/logging.h"
@@ -221,6 +222,33 @@ CellStore PrefetchLandingPad(i32 value_dim, const std::vector<i64>& keys) {
   return CellStore(value_dim, CellStore::Layout::kHashed, 0);
 }
 
+// Installs `reply`, the answer to a request for `keys`, into `pad`: the
+// i-th value span goes to the i-th key that hit. A key that missed stays
+// absent (zeros in a dense pad). A dense pad spans the sorted keys, so the
+// copies land at direct offsets.
+void InstallPositional(const ParamReply& reply, const std::vector<i64>& keys, CellStore* pad) {
+  const size_t dim = static_cast<size_t>(pad->value_dim());
+  ORION_CHECK(reply.hits.empty() || reply.hits.size() == (keys.size() + 63) / 64)
+      << "kParamReply hit bitmap does not match its request of" << keys.size() << "keys";
+  const size_t hits = reply.NumHits(keys.size());
+  ORION_CHECK(reply.values.size() == hits * dim)
+      << "kParamReply carries" << reply.values.size() << "values for" << hits << "hits";
+  if (keys.empty()) {
+    return;
+  }
+  const bool dense = pad->IsDense();
+  ORION_CHECK(!dense || (keys.front() >= pad->range_lo() && keys.back() <= pad->range_hi()));
+  const f32* v = reply.values.data();
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (reply.Hit(i)) {
+      f32* cell = dense ? pad->raw_values_data() + static_cast<size_t>(keys[i] - pad->range_lo()) * dim
+                        : pad->GetOrCreate(keys[i]);
+      simd::CopyF32(cell, v, dim);
+      v += dim;
+    }
+  }
+}
+
 }  // namespace
 
 Executor::Executor(WorkerId rank, Fabric* fabric, const SharedDirectory* dir)
@@ -354,14 +382,16 @@ void Executor::Dispatch(Message& msg) {
     case MsgKind::kShutdown:
       throw HaltSignal{};
     case MsgKind::kPartitionData:
-    case MsgKind::kParamReply:
       // Drop data from workers outside the current configuration (a zombie
       // sender after a false-positive death declaration).
       if (msg.from != kMasterRank &&
           std::find(ring_.begin(), ring_.end(), static_cast<i32>(msg.from)) == ring_.end()) {
         return;
       }
-      InstallPartData(Take<PartData>(msg), msg.kind);
+      InstallPartData(Take<PartData>(msg));
+      return;
+    case MsgKind::kParamReply:
+      InstallParamReply(Take<ParamReply>(msg));
       return;
     case MsgKind::kBarrier:
       return;  // stale barrier traffic from an earlier pass or step
@@ -412,27 +442,28 @@ void Executor::Dispatch(Message& msg) {
   }
 }
 
-void Executor::InstallPartData(PartData pd, MsgKind kind) {
-  if (kind == MsgKind::kParamReply) {
-    // Replies carry their request's step in `part` and land in that slot's
-    // buffers until AwaitPrefetch moves them into the caches. A reply that
-    // matches no ring slot is stale traffic from an abandoned pass: drop it
-    // rather than corrupt a cache the current step reads.
-    for (PrefetchSlot& slot : prefetch_ring_) {
-      if (slot.step != pd.part) {
-        continue;
-      }
-      auto it = slot.buffers.find(pd.array);
-      if (it != slot.buffers.end()) {
-        it->second.MergeAdd(pd.cells);  // buffer starts empty: add == install
-      }
-      --slot.outstanding;
-      ORION_CHECK(slot.outstanding >= 0)
-          << "more kParamReply messages than requests for step" << slot.step;
-      return;
+void Executor::InstallParamReply(const ParamReply& reply) {
+  // Replies land in their step's slot buffers until AwaitPrefetch moves them
+  // into the caches. A reply that matches no ring slot is stale traffic from
+  // an abandoned pass: drop it rather than corrupt a cache the current step
+  // reads. Replies come only from the master, so no sender can be a zombie.
+  for (PrefetchSlot& slot : prefetch_ring_) {
+    if (slot.step != reply.step) {
+      continue;
     }
+    auto it = slot.buffers.find(reply.array);
+    if (it != slot.buffers.end()) {
+      InstallPositional(reply, slot.keys.at(reply.array), &it->second);
+      slot.reply_bytes += WireSize(reply);
+    }
+    --slot.outstanding;
+    ORION_CHECK(slot.outstanding >= 0)
+        << "more kParamReply messages than requests for step" << slot.step;
     return;
   }
+}
+
+void Executor::InstallPartData(PartData pd) {
   ArrayState& st = GetArray(pd.array);
   switch (pd.mode) {
     case PartDataMode::kInstallPart:
@@ -709,16 +740,11 @@ void Executor::IssuePrefetch(const CompiledLoop& cl, int tau, int step, int chun
   const bool per_key = cl.options.prefetch == PrefetchMode::kPerKey;
   for (DistArrayId array : cl.server_arrays) {
     const ArrayState& st = GetArray(array);
-    auto it = recorded.find(array);
-    const std::vector<i64> empty;
-    const std::vector<i64>& keys = it != recorded.end() ? it->second : empty;
+    // The slot keeps the list it requested: replies install positionally
+    // against it, and a speculative slot's await intersects it with the
+    // dirty ranges of intervening steps to repair only the overlap.
+    const std::vector<i64>& keys = slot.keys[array] = std::move(recorded[array]);
     slot.buffers.emplace(array, PrefetchLandingPad(st.meta.value_dim, keys));
-    if (speculative) {
-      // Remember what was requested (sorted/unique from the collector) so
-      // the await can intersect it with the dirty ranges of intervening
-      // steps and repair only the overlap.
-      slot.keys[array] = keys;
-    }
     // kPerKey models naive remote random access: one coalesced wire message
     // carrying the whole key list, metered in the fabric as |keys| individual
     // requests (and its reply as |keys| individual replies). That keeps the
@@ -844,12 +870,16 @@ void Executor::RepairSpeculative(const CompiledLoop& cl, const PrefetchSlot& slo
   // the master holds comes back.
   ORION_TRACE_SPAN(kExecutor, "spec_wait");
   Stopwatch sw;
+  // The repair slot's landing pads are the caches themselves, so the repair
+  // replies install positionally over the speculative values.
   PrefetchSlot repair;
   repair.step = slot.step;
   for (auto& [array, keys] : conflicts) {
-    const ArrayState& st = GetArray(array);
-    repair.buffers.emplace(array,
-                           CellStore(st.meta.value_dim, CellStore::Layout::kHashed, 0));
+    ArrayState& st = GetArray(array);
+    repair.buffers.emplace(
+        array, std::exchange(st.prefetch_cache,
+                             CellStore(st.meta.value_dim, CellStore::Layout::kHashed, 0)));
+    repair.keys[array] = keys;
     SendParamRequest(ParamRequest{array, slot.step, std::move(keys)});
     ++repair.expected;
   }
@@ -861,13 +891,9 @@ void Executor::RepairSpeculative(const CompiledLoop& cl, const PrefetchSlot& slo
   prefetch_ring_.pop_front();
   PublishRingFill();
   for (auto& [array, cells] : done.buffers) {
-    report_.spec_repair_bytes += cells.SerializedBytes();
-    ArrayState& st = GetArray(array);
-    const size_t dim = static_cast<size_t>(st.meta.value_dim);
-    cells.ForEachConstFast([&](i64 key, const f32* v) {
-      simd::CopyF32(st.prefetch_cache.GetOrCreate(key), v, dim);
-    });
+    GetArray(array).prefetch_cache = std::move(cells);
   }
+  report_.spec_repair_bytes += done.reply_bytes;
   report_.spec_wait_seconds += sw.ElapsedSeconds();
 }
 

@@ -111,9 +111,9 @@ class Executor {
   // order is load-bearing: a speculative slot's lists go to
   // ArrayDirtyRanges::ConflictKeys, whose merge walk needs them strictly
   // increasing; the kCached key cache stores and replays them as they are,
-  // so it inherits that contract; and the ParamServer gather copies cells in
-  // request-key order, so neighbouring keys share snapshot pages and the
-  // reply's insertion-ordered layout is the key order.
+  // so it inherits that contract; the request's KeyList costs about a byte
+  // per key only when sorted; and the ParamServer gather copies cells in
+  // request-key order, so neighbouring keys share snapshot pages.
   std::map<DistArrayId, std::vector<i64>> CollectPrefetchKeys(const CompiledLoop& cl, int tau,
                                                               int step, int chunk,
                                                               int num_chunks);
@@ -185,7 +185,10 @@ class Executor {
   // under the physical rank after a recovery renumbered this worker.
   std::vector<trace::Span> DrainOwnSpans();
 
-  void InstallPartData(PartData pd, MsgKind kind);
+  void InstallPartData(PartData pd);
+  // Lands a kParamReply in the ring slot of its step: positionally, against
+  // the key list that slot requested.
+  void InstallParamReply(const ParamReply& reply);
 
   // Maps a schedule-space (logical) worker id to the physical rank holding
   // that slot in the current configuration.
@@ -230,7 +233,7 @@ class Executor {
 
   // Ring of in-flight prefetch issues, FIFO by step: front is the next step
   // this worker will execute, back is the deepest issued. Replies are routed
-  // by their step id (PartData::part) into the matching slot's buffers;
+  // by their step id (ParamReply::step) into the matching slot's buffers;
   // anything that matches no slot is stale traffic from an abandoned pass and
   // is dropped. Depth is bounded by ParallelForOptions::prefetch_depth for
   // pipelined rotation, and by the speculation depth the master ships in
@@ -241,12 +244,15 @@ class Executor {
     int outstanding = 0;  // reply messages not yet installed
     Stopwatch issued_at;
     std::map<DistArrayId, CellStore> buffers;  // per-array landing pads
+    // Per array, the keys requested (sorted, unique): a reply's values are
+    // positional against them. A speculative slot's await also validates
+    // them against the dirty summaries of steps [issued_during, step).
+    std::map<DistArrayId, std::vector<i64>> keys;
+    u64 reply_bytes = 0;  // WireSize of the replies installed so far
     // Speculative slots: issued against a possibly-stale snapshot while step
-    // `issued_during` ran; `keys` remembers what was requested so the await
-    // can validate against the dirty summaries of steps [issued_during, step).
+    // `issued_during` ran.
     bool speculative = false;
     int issued_during = -1;
-    std::map<DistArrayId, std::vector<i64>> keys;
   };
   void PublishRingFill() {
     if (ring_fill_gauge_ != nullptr) {

@@ -28,8 +28,10 @@
 #ifndef ORION_SRC_RUNTIME_PARAM_SERVER_H_
 #define ORION_SRC_RUNTIME_PARAM_SERVER_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <mutex>
 #include <utility>
 
@@ -44,33 +46,46 @@
 namespace orion {
 
 // Assembles the kParamReply for `req` against `master` (a CellStore, or a
-// pinned VersionedCellStore::Snapshot): hits are copied in request-key order
-// (the order the reply store's insertion-ordered layout makes observable)
-// into a store pre-sized for the key list. The one reply builder of both the
-// inline and the async serving path.
+// pinned VersionedCellStore::Snapshot): the values of the keys the master
+// has, copied in request-key order into one flat array, with a hit bitmap
+// only once some key misses. The one reply builder of both the inline and
+// the async serving path.
 template <typename Store>
 Message BuildParamReply(const ParamRequest& req, const Store& master, i32 value_dim,
                         bool zero_copy) {
-  PartData pd;
-  pd.array = req.array;
-  pd.part = req.step;
-  pd.mode = PartDataMode::kInstallPart;
-  pd.cells = CellStore(value_dim, CellStore::Layout::kHashed, 0);
-  pd.cells.Reserve(static_cast<i64>(req.keys.size()));
-  for (i64 key : req.keys) {
-    const f32* v = master.Get(key);
+  ParamReply pr;
+  pr.array = req.array;
+  pr.step = req.step;
+  const size_t n = req.keys.size();
+  const size_t dim = static_cast<size_t>(value_dim);
+  pr.values.resize(n * dim);
+  f32* out = pr.values.data();
+  for (size_t i = 0; i < n; ++i) {
+    const f32* v = master.Get(req.keys[i]);
     if (v != nullptr) {
-      simd::CopyF32(pd.cells.GetOrCreate(key), v, static_cast<size_t>(value_dim));
+      simd::CopyF32(out, v, dim);
+      out += dim;
+      if (!pr.hits.empty()) {
+        pr.hits[i >> 6] |= u64{1} << (i & 63);
+      }
+    } else if (pr.hits.empty()) {
+      // First miss: every key before it hit.
+      pr.hits.assign((n + 63) / 64, 0);
+      std::fill(pr.hits.begin(), pr.hits.begin() + static_cast<std::ptrdiff_t>(i >> 6), ~u64{0});
+      if ((i & 63) != 0) {
+        pr.hits[i >> 6] = (u64{1} << (i & 63)) - 1;
+      }
     }
   }
+  pr.values.resize(static_cast<size_t>(out - pr.values.data()));
   Message reply;
   reply.from = kMasterRank;
   reply.kind = MsgKind::kParamReply;
   reply.tag = static_cast<u32>(req.step);
   if (req.per_key) {
-    MeterAsPerKeyReplies(&reply, req.keys.size(), value_dim);
+    MeterAsPerKeyReplies(&reply, n, pr);
   }
-  Attach(&reply, std::move(pd), zero_copy);
+  Attach(&reply, std::move(pr), zero_copy);
   return reply;
 }
 

@@ -10,9 +10,15 @@
 // and the size the fabric meters on the zero-copy path cannot disagree.
 // Control messages visit their ControlOp first, as a u16 prefix the fault
 // injector and the service loops peek.
+//
+// Key lists are compact: a ParamRequest's keys and the keys of a hashed
+// CellStore travel as a KeyList (a u32 count, then zigzag-varint deltas), so
+// a sorted list costs about one byte per key. A kParamReply carries no keys
+// at all: its values are positional against the request's key list.
 #ifndef ORION_SRC_RUNTIME_PROTOCOL_H_
 #define ORION_SRC_RUNTIME_PROTOCOL_H_
 
+#include <bit>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -32,6 +38,22 @@ namespace orion {
 namespace wire {
 
 enum class Mode { kWrite, kRead, kSize };
+
+// Field-list marker for a list of keys in any order: a u32 count, the first
+// key as a zigzag varint, then each key's zigzag-varint difference from the
+// one before it (wrapping, so any i64 pair has a difference). Ascending
+// unique keys with gaps under 64 take one byte each.
+struct KeyList {
+  std::vector<i64>& keys;
+};
+
+inline u64 ZigZag(i64 v) { return (static_cast<u64>(v) << 1) ^ static_cast<u64>(v >> 63); }
+inline i64 UnZigZag(u64 z) { return static_cast<i64>((z >> 1) ^ (~(z & 1) + 1)); }
+
+// Zigzag varint of `key`'s difference from `prev`, in u64 arithmetic.
+inline u64 KeyDelta(i64 key, i64 prev) {
+  return ZigZag(static_cast<i64>(static_cast<u64>(key) - static_cast<u64>(prev)));
+}
 
 template <Mode M>
 class Codec;
@@ -141,14 +163,78 @@ class Codec {
     }
   }
 
-  // CellStore keeps its own format: the delta log writes it too.
-  void Field(CellStore& c) {
+  void Field(KeyList& list) {
+    std::vector<i64>& keys = list.keys;
+    u32 n = static_cast<u32>(keys.size());
+    Field(n);
+    i64 prev = 0;
     if constexpr (M == Mode::kWrite) {
-      c.Serialize(w_);
+      // Staged in blocks: one append per block instead of one per key.
+      u8 block[512];
+      size_t used = 0;
+      for (const i64 key : keys) {
+        if (used > sizeof(block) - ByteWriter::kMaxVarintBytes) {
+          w_->PutBytes(block, used);
+          used = 0;
+        }
+        used += ByteWriter::EncodeVarint(KeyDelta(key, prev), block + used);
+        prev = key;
+      }
+      w_->PutBytes(block, used);
     } else if constexpr (M == Mode::kRead) {
-      c = CellStore::Deserialize(r_);
+      // Every key takes at least one byte: check before allocating.
+      ORION_CHECK(n <= r_->remaining()) << "ByteReader overrun";
+      keys.resize(n);
+      for (i64& key : keys) {
+        prev = static_cast<i64>(static_cast<u64>(prev) + static_cast<u64>(UnZigZag(r_->GetVarint())));
+        key = prev;
+      }
     } else {
-      size_ += c.SerializedBytes();
+      size_t bytes = 0;  // a local sum: size_ could alias the keys
+      for (const i64 key : keys) {
+        bytes += ByteWriter::VarintSize(KeyDelta(key, prev));
+        prev = key;
+      }
+      size_ += bytes;
+    }
+  }
+
+  // CellStore on the wire: value_dim and layout, then a dense store's range
+  // and values (the bytes CellStore::Serialize writes too) or a hashed
+  // store's KeyList and values. The durable format (CellStore::Serialize,
+  // which the delta log writes) keeps hashed keys at 8 B each.
+  void Field(CellStore& c) {
+    i32 value_dim = c.value_dim();
+    CellStore::Layout layout = c.layout();
+    Field(value_dim);
+    Field(layout);
+    if constexpr (M == Mode::kRead) {
+      std::vector<f32> values;
+      if (layout == CellStore::Layout::kHashed) {
+        std::vector<i64> keys;
+        KeyList list{keys};
+        Field(list);
+        Field(values);
+        c = CellStore::Hashed(value_dim, std::move(keys), std::move(values));
+      } else {
+        i64 lo = 0;
+        i64 hi = 0;
+        Field(lo);
+        Field(hi);
+        Field(values);
+        c = CellStore::Dense(value_dim, layout, lo, hi, std::move(values));
+      }
+    } else {
+      if (layout == CellStore::Layout::kHashed) {
+        KeyList list{const_cast<std::vector<i64>&>(c.keys())};
+        Field(list);
+      } else {
+        i64 lo = c.range_lo();
+        i64 hi = c.range_hi();
+        Field(lo);
+        Field(hi);
+      }
+      Field(const_cast<std::vector<f32>&>(c.raw_values()));
     }
   }
 
@@ -333,10 +419,10 @@ struct PartData {
 // (plus one so tag 0 stays "untagged").
 inline u32 PartTag(int tau) { return static_cast<u32>(tau + 1); }
 
-// Zero-copy carrier for a wire type (a PartData in kPartitionData,
-// kParamReply and kParamUpdate, a ParamRequest in kParamRequest): the struct
-// travels by shared pointer, skipping Encode/Decode, while the fabric still
-// charges the exact encoded size.
+// Zero-copy carrier for a wire type (a PartData in kPartitionData and
+// kParamUpdate, a ParamRequest in kParamRequest, a ParamReply in
+// kParamReply): the struct travels by shared pointer, skipping Encode/Decode,
+// while the fabric still charges the exact encoded size.
 template <wire::HasFields T>
 struct ZeroCopy final : ZeroCopyPayload {
   T value;
@@ -379,7 +465,9 @@ T Take(Message& m) {
   return Decode<T>(m.payload);
 }
 
-// Bulk-prefetch request: the synthesized access-pattern pass's key list.
+// Bulk-prefetch request: the synthesized access-pattern pass's key list,
+// sorted ascending (CollectPrefetchKeys), so its KeyList costs about a byte
+// per key.
 struct ParamRequest {
   DistArrayId array = kInvalidDistArrayId;
   i32 step = 0;
@@ -394,41 +482,65 @@ struct ParamRequest {
   bool speculative = false;
 
   template <class V>
-  void Fields(V& v) { v(array, step, per_key, keys, speculative); }
+  void Fields(V& v) { v(array, step, per_key, wire::KeyList{keys}, speculative); }
+};
+
+// Reply to a ParamRequest, positional against its key list: `values` holds
+// the value spans of the keys the master has, in request-key order, and
+// `hits` marks them (bit i: key i hit), left empty when every key hit. The
+// requester installs it by walking the key list it sent.
+struct ParamReply {
+  DistArrayId array = kInvalidDistArrayId;
+  i32 step = 0;
+  std::vector<u64> hits;
+  std::vector<f32> values;
+
+  bool Hit(size_t i) const { return hits.empty() || ((hits[i >> 6] >> (i & 63)) & 1) != 0; }
+  size_t NumHits(size_t num_keys) const {
+    size_t n = hits.empty() ? num_keys : 0;
+    for (const u64 word : hits) {
+      n += static_cast<size_t>(std::popcount(word));
+    }
+    return n;
+  }
+
+  template <class V>
+  void Fields(V& v) { v(array, step, hits, values); }
 };
 
 // kPerKey cost modeling for a coalesced request: had the storm really been
 // sent, each key would have been its own message — one transport header plus
 // one single-key ParamRequest. Meter the batched message as that many
-// latencies and the framing bytes of the (n - 1) messages it absorbed; the
-// key payload bytes themselves are identical in both representations.
+// latencies and bill the bytes the storm would have sent beyond it: the
+// framing of the (n - 1) messages it absorbed, and the difference between
+// each key on its own (a varint of the key) and its delta in the coalesced
+// list.
 inline void MeterAsPerKeyRequests(Message* m, const ParamRequest& req) {
   const size_t n = req.keys.size();
   if (!req.per_key || n <= 1) {
     return;
   }
-  // Each of the n-1 extra virtual messages repeats the header and the fixed
-  // request fields; the keys themselves are already counted once in the real
-  // coalesced payload, so the shell here is key-less.
   ParamRequest shell;
   shell.per_key = true;
-  const size_t per_msg = Message::kHeaderBytes + WireSize(shell);
+  size_t storm = n * (Message::kHeaderBytes + WireSize(shell));
+  for (const i64 key : req.keys) {
+    storm += ByteWriter::VarintSize(wire::ZigZag(key));
+  }
   m->meter_messages = static_cast<u32>(n);
-  m->meter_extra_bytes = (n - 1) * per_msg;
+  m->meter_extra_bytes = storm - (Message::kHeaderBytes + WireSize(req));
 }
 
-// Same for the reply: per-key replies each carry a transport header plus an
-// empty PartData shell (header + empty CellStore); the cell bytes of found
-// keys are identical whether they travel in one reply or n.
-inline void MeterAsPerKeyReplies(Message* m, size_t num_keys, i32 value_dim) {
+// Same for the reply: a single-key reply is an empty ParamReply shell plus
+// the key's value span when it hit, or a one-word hit bitmap when it missed.
+inline void MeterAsPerKeyReplies(Message* m, size_t num_keys, const ParamReply& reply) {
   if (num_keys <= 1) {
     return;
   }
-  PartData shell;
-  shell.cells = CellStore(value_dim, CellStore::Layout::kHashed, 0);
-  const size_t per_msg = Message::kHeaderBytes + WireSize(shell);
+  const size_t misses = num_keys - reply.NumHits(num_keys);
+  const size_t storm = num_keys * (Message::kHeaderBytes + WireSize(ParamReply{})) +
+                       reply.values.size() * sizeof(f32) + misses * sizeof(u64);
   m->meter_messages = static_cast<u32>(num_keys);
-  m->meter_extra_bytes = (num_keys - 1) * per_msg;
+  m->meter_extra_bytes = storm - (Message::kHeaderBytes + WireSize(reply));
 }
 
 // kGather / kDropArray control message.

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/apps/slr.h"
@@ -55,7 +56,7 @@ void ExpectPinned(const Pinned& got, const Pinned& want) {
 // ---------------------------------------------------------------------------
 // 1D data parallelism: SLR with server-hosted weights.
 
-Pinned RunSlr(int rounds, PrefetchMode prefetch) {
+Pinned RunSlr(int rounds, PrefetchMode prefetch, bool zero_copy = true) {
   SparseLrConfig d;
   d.num_samples = 600;
   d.num_features = 900;
@@ -64,6 +65,7 @@ Pinned RunSlr(int rounds, PrefetchMode prefetch) {
   DriverConfig cfg;
   cfg.num_workers = 4;
   cfg.seed = 3;
+  cfg.zero_copy = zero_copy;
   Driver driver(cfg);
   SlrConfig c;
   c.loop_options.server_sync_rounds = rounds;
@@ -79,22 +81,118 @@ Pinned RunSlr(int rounds, PrefetchMode prefetch) {
 }
 
 TEST(ExecutorTraffic, Slr1RoundBulk) {
-  ExpectPinned(RunSlr(1, PrefetchMode::kBulk), {64, 524864, 0});
+  ExpectPinned(RunSlr(1, PrefetchMode::kBulk), {64, 381219, 0});
 }
 TEST(ExecutorTraffic, Slr1RoundCached) {
-  ExpectPinned(RunSlr(1, PrefetchMode::kCached), {64, 524864, 0});
+  ExpectPinned(RunSlr(1, PrefetchMode::kCached), {64, 381219, 0});
 }
 TEST(ExecutorTraffic, Slr1RoundPerKey) {
-  ExpectPinned(RunSlr(1, PrefetchMode::kPerKey), {12718, 1233488, 0});
+  ExpectPinned(RunSlr(1, PrefetchMode::kPerKey), {12718, 1032162, 0});
 }
 TEST(ExecutorTraffic, Slr8RoundsBulk) {
-  ExpectPinned(RunSlr(8, PrefetchMode::kBulk), {316, 711512, 0});
+  ExpectPinned(RunSlr(8, PrefetchMode::kBulk), {316, 448473, 0});
 }
 TEST(ExecutorTraffic, Slr8RoundsCached) {
-  ExpectPinned(RunSlr(8, PrefetchMode::kCached), {316, 711512, 0});
+  ExpectPinned(RunSlr(8, PrefetchMode::kCached), {316, 448473, 0});
 }
 TEST(ExecutorTraffic, Slr8RoundsPerKey) {
-  ExpectPinned(RunSlr(8, PrefetchMode::kPerKey), {23554, 2012840, 0});
+  ExpectPinned(RunSlr(8, PrefetchMode::kPerKey), {23554, 1642254, 0});
+}
+
+// The fabric meters a zero-copy message at the size Encode would give it, so
+// the serialized path sends the same messages and bytes.
+TEST(ExecutorTraffic, Slr8RoundsMeterTheSameWithoutZeroCopy) {
+  for (const PrefetchMode prefetch : {PrefetchMode::kBulk, PrefetchMode::kPerKey}) {
+    const Pinned zero_copy = RunSlr(8, prefetch, /*zero_copy=*/true);
+    const Pinned encoded = RunSlr(8, prefetch, /*zero_copy=*/false);
+    EXPECT_EQ(zero_copy.messages, encoded.messages) << static_cast<int>(prefetch);
+    EXPECT_EQ(zero_copy.bytes, encoded.bytes) << static_cast<int>(prefetch);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Server-hosted sparse arrays: the master's store is hashed, so a prefetch
+// can ask for keys it does not hold and the reply marks them missed. Each
+// item reads one key of `near` (key lists spanning at most 150 keys: a
+// dense landing pad) and one of `far` (keys spread over millions: a hashed
+// one). Only keys divisible by 3 exist; every other read must see zeros,
+// and every hit its own value, not another key's.
+
+TEST(ExecutorTraffic, SparseServerMissesReadAsZeros) {
+  constexpr i64 kItems = 60;
+  constexpr i64 kNearCells = 150;
+  constexpr i64 kFarCells = 3000000;
+  auto near_key = [](i64 i) { return (i * 7) % kNearCells; };
+  auto far_key = [](i64 i) { return i * 40009; };
+  // What a read of `key` must return: its value if it exists, else zero.
+  auto value_of = [](i64 key) { return key % 3 == 0 ? static_cast<f32>(1 + key % 1000) : 0.0f; };
+  f64 want_near = 0.0;
+  f64 want_far = 0.0;
+  for (i64 i = 0; i < kItems; ++i) {
+    want_near += value_of(near_key(i));
+    want_far += value_of(far_key(i));
+  }
+  for (const bool zero_copy : {true, false}) {
+    DriverConfig cfg;
+    cfg.num_workers = 3;
+    cfg.zero_copy = zero_copy;
+    Driver driver(cfg);
+    const DistArrayId items = driver.CreateDistArray("items", {kItems}, 2, Density::kSparse);
+    const DistArrayId near = driver.CreateDistArray("near", {kNearCells}, 1, Density::kSparse);
+    const DistArrayId far = driver.CreateDistArray("far", {kFarCells}, 1, Density::kSparse);
+    {
+      CellStore& cells = driver.MutableCells(items);
+      for (i64 i = 0; i < kItems; ++i) {
+        f32* v = cells.GetOrCreate(i);
+        v[0] = static_cast<f32>(near_key(i));
+        v[1] = static_cast<f32>(far_key(i));
+      }
+      for (const auto& [array, key_of] :
+           {std::pair{near, +near_key}, std::pair{far, +far_key}}) {
+        CellStore& table = driver.MutableCells(array);
+        for (i64 i = 0; i < kItems; ++i) {
+          if (key_of(i) % 3 == 0) {
+            *table.GetOrCreate(key_of(i)) = value_of(key_of(i));
+          }
+        }
+      }
+    }
+    const int near_sum = driver.CreateAccumulator();
+    const int far_sum = driver.CreateAccumulator();
+    const int wrong_reads = driver.CreateAccumulator();
+    LoopSpec spec;
+    spec.iter_space = items;
+    spec.iter_extents = {kItems};
+    spec.AddAccess(near, "near", {Expr::Runtime("near_id")}, /*is_write=*/false);
+    spec.AddAccess(far, "far", {Expr::Runtime("far_id")}, /*is_write=*/false);
+    LoopKernel kernel = [=](LoopContext& ctx, IdxSpan, const f32* value) {
+      const i64 n[1] = {static_cast<i64>(value[0])};
+      const i64 f[1] = {static_cast<i64>(value[1])};
+      const f32 near_value = ctx.Read(near, n)[0];
+      const f32 far_value = ctx.Read(far, f)[0];
+      ctx.AccumulatorAdd(near_sum, near_value);
+      ctx.AccumulatorAdd(far_sum, far_value);
+      if (!ctx.recording()) {
+        ctx.AccumulatorAdd(wrong_reads, (near_value != value_of(n[0]) ? 1.0 : 0.0) +
+                                            (far_value != value_of(f[0]) ? 1.0 : 0.0));
+      }
+    };
+    ParallelForOptions opts;
+    opts.planner.replicate_threshold_floats = 0;  // host both tables on the server
+    auto loop = driver.Compile(spec, kernel, opts);
+    ASSERT_TRUE(loop.ok()) << loop.status();
+    ASSERT_EQ(driver.PlanOf(*loop).placements.at(near).scheme, PartitionScheme::kServer);
+    ASSERT_EQ(driver.PlanOf(*loop).placements.at(far).scheme, PartitionScheme::kServer);
+    for (int pass = 0; pass < 2; ++pass) {
+      driver.ResetAccumulator(near_sum);
+      driver.ResetAccumulator(far_sum);
+      driver.ResetAccumulator(wrong_reads);
+      ASSERT_TRUE(driver.Execute(*loop).ok());
+      EXPECT_EQ(driver.AccumulatorValue(wrong_reads), 0.0) << "zero_copy " << zero_copy;
+      EXPECT_EQ(driver.AccumulatorValue(near_sum), want_near) << "zero_copy " << zero_copy;
+      EXPECT_EQ(driver.AccumulatorValue(far_sum), want_far) << "zero_copy " << zero_copy;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -195,7 +293,7 @@ MfResult RunRotation(bool overlap, int prefetch_depth) {
 }
 
 // Issue depth and overlap move requests earlier, never add or drop one.
-constexpr Pinned kRotationTraffic{356, 39980, 9933665473904735672ULL};
+constexpr Pinned kRotationTraffic{356, 29920, 9933665473904735672ULL};
 
 TEST(ExecutorTraffic, RotationDepth1Overlap) {
   const MfResult r = RunRotation(true, 1);
@@ -232,13 +330,13 @@ TEST(ExecutorTraffic, RotationDepth4Sync) {
 // deepen it on a measured wait, so the ring's depth is the same every run.
 TEST(ExecutorTraffic, WavefrontNoSpeculation) {
   const MfResult r = RunMf(/*ordered=*/true, /*overlap=*/true, 1, /*speculate=*/false);
-  ExpectPinned(r.pinned, {368, 34212, 12885273231235068288ULL});
+  ExpectPinned(r.pinned, {368, 26539, 12885273231235068288ULL});
   EXPECT_EQ(r.spec_issued, 0u);
   EXPECT_EQ(r.ring_depth, 1);
 }
 TEST(ExecutorTraffic, WavefrontSpeculation) {
   const MfResult r = RunMf(/*ordered=*/true, /*overlap=*/true, 1, /*speculate=*/true);
-  ExpectPinned(r.pinned, {368, 34548, 12885273231235068288ULL});
+  ExpectPinned(r.pinned, {368, 26875, 12885273231235068288ULL});
   EXPECT_EQ(r.spec_issued, 30u);
   EXPECT_EQ(r.ring_depth, 1);
 }
@@ -294,7 +392,7 @@ TEST(ExecutorTraffic, Lockstep) {
     ASSERT_TRUE(driver.Execute(*loop).ok());
   }
   const FabricStats s = driver.NetStats();
-  ExpectPinned({s.messages_sent, s.bytes_sent, Fnv1a(&driver, c)}, {885, 74204, 12628890455485552062ULL});
+  ExpectPinned({s.messages_sent, s.bytes_sent, Fnv1a(&driver, c)}, {885, 61098, 12628890455485552062ULL});
 }
 
 }  // namespace

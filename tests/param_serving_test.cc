@@ -415,12 +415,13 @@ TEST(PerKeyMetering, BuildParamReplyPreservesKeyOrder) {
   }
   ParamRequest req{0, 0, {9, 4, 1, 5}};  // 4 misses
   Message reply = BuildParamReply(req, master, kDim, /*zero_copy=*/false);
-  PartData pd = Take<PartData>(reply);
-  EXPECT_EQ(pd.cells.keys(), (std::vector<i64>{9, 1, 5}));  // request order, misses skipped
+  const ParamReply pr = Take<ParamReply>(reply);
+  EXPECT_EQ(pr.values, (std::vector<f32>{9, -9, 1, -1, 5, -5}));  // request order, misses skipped
+  EXPECT_EQ(pr.hits, (std::vector<u64>{0b1101}));                  // key 4 missed
 }
 
 // A reply gathered on a ParamServer pool thread from a pinned snapshot must
-// match, byte for byte and in insertion order, what BuildParamReply builds
+// match, byte for byte and hit for hit, what BuildParamReply builds
 // from the flat store the inline path would have read at pin time — while the
 // writer keeps cloning pages and the hashed index after each pin.
 TEST(ParamServerReply, MatchesBuildParamReplyOnFlatStore) {
@@ -495,12 +496,12 @@ TEST(ParamServerReply, MatchesBuildParamReplyOnFlatStore) {
       EXPECT_EQ(reply.meter_extra_bytes, want.meter_extra_bytes);
       EXPECT_EQ(reply.WireSize(), want.WireSize());
       EXPECT_EQ(reply.zc != nullptr, zero_copy);
-      const PartData got_pd = Take<PartData>(reply);
-      const PartData want_pd = Take<PartData>(want);
-      EXPECT_EQ(got_pd.array, kArray);
-      EXPECT_EQ(got_pd.part, want_pd.part);
-      EXPECT_EQ(got_pd.cells.keys(), want_pd.cells.keys());
-      EXPECT_EQ(Encode(got_pd), Encode(want_pd));
+      const ParamReply got_pr = Take<ParamReply>(reply);
+      const ParamReply want_pr = Take<ParamReply>(want);
+      EXPECT_EQ(got_pr.array, kArray);
+      EXPECT_EQ(got_pr.step, want_pr.step);
+      EXPECT_EQ(got_pr.hits, want_pr.hits);
+      EXPECT_EQ(Encode(got_pr), Encode(want_pr));
     }
   }
 }

@@ -9,14 +9,20 @@
 //    Take(Attach(x)) returns x with the same Message::WireSize() whether the
 //    value travels zero-copy or serialized.
 //  - Truncated or over-counted input CHECK-fails instead of reading past the
-//    payload.
+//    payload, also a key-list varint cut mid-byte.
+//  - Key lists of every shape (empty, one key, sorted, unsorted, negative,
+//    next to INT64_MIN and INT64_MAX) round-trip on both transport paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/net/fabric.h"
+#include "src/runtime/param_server.h"
 #include "src/runtime/protocol.h"
 
 namespace orion {
@@ -143,6 +149,20 @@ ParamRequest GoldenRequest() {
   return r;
 }
 
+// Four requested keys; with misses, the second key missed.
+ParamReply GoldenReply(bool misses) {
+  ParamReply r;
+  r.array = 2;
+  r.step = 5;
+  if (misses) {
+    r.hits = {0b1101};
+    r.values = {1.5f, -2.0f, 0.25f, 4.0f, 8.0f, -0.5f};
+  } else {
+    r.values = {1.5f, -2.0f, 3.0f, 3.5f, 0.25f, 4.0f, 8.0f, -0.5f};
+  }
+  return r;
+}
+
 struct Golden {
   const char* name;
   std::vector<u8> bytes;
@@ -151,8 +171,10 @@ struct Golden {
 };
 
 // Sizes and FNV-1a checksums recorded from the hand-written per-type codecs
-// this codec replaced; they must never change without a deliberate wire
-// format change.
+// this codec replaced, except the entries with key lists (PartDataHashed,
+// PartDataEmpty, ParamRequest), re-recorded when key lists became
+// zigzag-varint deltas, and the ParamReply entries, recorded with them. They
+// must never change without a deliberate wire format change.
 std::vector<Golden> GoldenEncodings() {
   return {
       {"StartPass", Encode(StartPass{3, 7, 2}), 14, 0xd7d134c9be7d8704ull},
@@ -163,10 +185,12 @@ std::vector<Golden> GoldenEncodings() {
       {"BarrierDirty", Encode(GoldenBarrier(true, false)), 60, 0x90374373a771f2dfull},
       {"BarrierSpans", Encode(GoldenBarrier(false, true)), 71, 0xaa86c05e55c5dec4ull},
       {"BarrierBoth", Encode(GoldenBarrier(true, true)), 125, 0x22cff6b1562ed896ull},
-      {"PartDataHashed", Encode(GoldenHashedPart()), 342, 0x4c36d6a00454c15cull},
+      {"PartDataHashed", Encode(GoldenHashedPart()), 247, 0x7ce6d7ae20208d78ull},
       {"PartDataDense", Encode(GoldenDensePart()), 230, 0x1289ec6966a8b208ull},
-      {"PartDataEmpty", Encode(GoldenEmptyPart()), 30, 0x10d8171a6207ae09ull},
-      {"ParamRequest", Encode(GoldenRequest()), 50, 0x0d617d53ebfa5f8cull},
+      {"PartDataEmpty", Encode(GoldenEmptyPart()), 26, 0x850b06428dc575f9ull},
+      {"ParamRequest", Encode(GoldenRequest()), 22, 0x2cbf083f8148bdcbull},
+      {"ParamReplyMisses", Encode(GoldenReply(true)), 56, 0xe6a1417de4e8b6cfull},
+      {"ParamReplyAllHit", Encode(GoldenReply(false)), 56, 0x6459cc6a43a033f1ull},
       {"ArrayOp", Encode(ArrayOp{ControlOp::kDropArray, 6}), 6, 0x140d8ef57684c7a9ull},
   };
 }
@@ -186,6 +210,7 @@ TEST(ProtocolDeathTest, TruncatedPayloadsAbort) {
   const std::vector<u8> part = Encode(GoldenHashedPart());
   const std::vector<u8> request = Encode(GoldenRequest());
   const std::vector<u8> retire = Encode(GoldenRetire());
+  const std::vector<u8> reply = Encode(GoldenReply(true));
   auto cut = [](std::vector<u8> b) {
     b.pop_back();
     return b;
@@ -195,15 +220,51 @@ TEST(ProtocolDeathTest, TruncatedPayloadsAbort) {
   EXPECT_DEATH(Decode<PartData>(cut(part)), "overrun");
   EXPECT_DEATH(Decode<ParamRequest>(cut(request)), "overrun");
   EXPECT_DEATH(Decode<Retire>(cut(retire)), "overrun");
+  EXPECT_DEATH(Decode<ParamReply>(cut(reply)), "overrun");
+}
+
+// A key list whose last varint is cut after its first byte, and one whose
+// varint runs past 64 bits.
+TEST(ProtocolDeathTest, KeyListVarintCutMidByteAborts) {
+  ParamRequest r;
+  r.keys = {1, i64{1} << 40};  // the second delta takes 6 bytes
+  const std::vector<u8> bytes = Encode(r);
+  const size_t list_start = 2 * sizeof(i32) + sizeof(u8) + sizeof(u32);
+  const std::vector<u8> cut(bytes.begin(), bytes.begin() + list_start + 2);
+  EXPECT_DEATH(Decode<ParamRequest>(cut), "overrun");
+
+  std::vector<u8> endless(bytes.begin(), bytes.begin() + list_start);
+  endless.insert(endless.end(), 11, 0xff);
+  EXPECT_DEATH(Decode<ParamRequest>(endless), "overflows 64 bits");
+}
+
+// The hashed store's key list decodes into the same duplicate check as
+// before: a delta of zero repeats a key.
+TEST(ProtocolDeathTest, HashedStoreWithRepeatedKeyAborts) {
+  PartData pd;
+  pd.cells = CellStore(1, CellStore::Layout::kHashed, 0);
+  pd.cells.GetOrCreate(5)[0] = 1.0f;
+  pd.cells.GetOrCreate(9)[0] = 2.0f;
+  std::vector<u8> bytes = Encode(pd);
+  // array, part, mode, value_dim, layout, count, first key: then the delta.
+  const size_t delta_at = 2 * sizeof(i32) + 2 * sizeof(u8) + sizeof(i32) + sizeof(u32) + 1;
+  ASSERT_EQ(bytes[delta_at], wire::ZigZag(4));
+  bytes[delta_at] = 0;
+  EXPECT_DEATH(Decode<PartData>(bytes), "repeats key");
 }
 
 // A count field larger than the bytes that follow it must CHECK-fail before
 // anything is allocated for it, even when count * element size wraps.
 TEST(ProtocolDeathTest, OversizedCountsAbort) {
   std::vector<u8> request = Encode(GoldenRequest());
-  const u64 huge = (u64{1} << 61) + 1;  // * sizeof(i64) wraps to 8
-  std::memcpy(request.data() + 2 * sizeof(i32) + sizeof(u8), &huge, sizeof(huge));
+  const u32 huge_keys = ~u32{0};  // every key takes at least one byte
+  std::memcpy(request.data() + 2 * sizeof(i32) + sizeof(u8), &huge_keys, sizeof(huge_keys));
   EXPECT_DEATH(Decode<ParamRequest>(request), "overrun");
+
+  std::vector<u8> reply = Encode(GoldenReply(false));
+  const u64 huge = (u64{1} << 62) + 1;  // * sizeof(f32) wraps to 4
+  std::memcpy(reply.data() + 2 * sizeof(i32) + sizeof(u64), &huge, sizeof(huge));
+  EXPECT_DEATH(Decode<ParamReply>(reply), "overrun");
 
   PassDone done = MakePassDone(1, 2);
   done.spans = {MakeSpan(0, "x")};
@@ -381,6 +442,76 @@ class WireFuzz {
     return r;
   }
 
+  // Keys of one shape: sorted and unique, unsorted with repeats, negative,
+  // or packed against INT64_MIN and INT64_MAX, where deltas wrap.
+  std::vector<i64> Keys(bool unique) {
+    constexpr i64 kMin = std::numeric_limits<i64>::min();
+    constexpr i64 kMax = std::numeric_limits<i64>::max();
+    std::vector<i64> keys(Count(60));
+    const u64 shape = rng_.NextBounded(4);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      switch (shape) {
+        case 0:
+          keys[i] = (i == 0 ? 0 : keys[i - 1]) + Int(1, 300);
+          break;
+        case 1:
+          keys[i] = Int(0, 1 << 20);
+          break;
+        case 2:
+          keys[i] = Int(-(i64{1} << 40), 50);
+          break;
+        default:
+          keys[i] = Coin() ? kMin + Int(0, 40) : kMax - Int(0, 40);
+          break;
+      }
+    }
+    if (unique) {
+      std::sort(keys.begin(), keys.end());
+      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+      if (Coin()) {
+        std::reverse(keys.begin(), keys.end());
+      }
+    }
+    return keys;
+  }
+
+  PartData HashedPart() {
+    PartData pd;
+    pd.array = static_cast<DistArrayId>(Int(0, 9));
+    const i32 dim = static_cast<i32>(Int(1, 3));
+    std::vector<i64> keys = Keys(/*unique=*/true);
+    std::vector<f32> values(keys.size() * static_cast<size_t>(dim));
+    for (f32& v : values) {
+      v = static_cast<f32>(rng_.NextGaussian());
+    }
+    pd.cells = CellStore::Hashed(dim, std::move(keys), std::move(values));
+    return pd;
+  }
+
+  ParamReply RandomParamReply() {
+    ParamReply r;
+    r.array = static_cast<DistArrayId>(Int(0, 9));
+    r.step = static_cast<i32>(Int(0, 99));
+    const size_t n = Count(150);
+    const size_t dim = static_cast<size_t>(Int(1, 3));
+    size_t hits = n;
+    if (n > 0 && Coin()) {
+      r.hits.resize((n + 63) / 64);
+      hits = 0;
+      for (size_t i = 0; i < n; ++i) {
+        if (Coin()) {
+          r.hits[i >> 6] |= u64{1} << (i & 63);
+          ++hits;
+        }
+      }
+    }
+    r.values.resize(hits * dim);
+    for (f32& v : r.values) {
+      v = static_cast<f32>(rng_.NextGaussian());
+    }
+    return r;
+  }
+
   ArrayOp RandomArrayOp() {
     return ArrayOp{Coin() ? ControlOp::kGather : ControlOp::kDropArray,
                    static_cast<DistArrayId>(Int(0, 9))};
@@ -427,6 +558,7 @@ TEST(ProtocolFuzz, EveryWireTypeRoundTripsOnBothPaths) {
     ++layouts[static_cast<int>(pd.cells.layout())];
     ExpectRoundTrips(pd);
     ExpectRoundTrips(f.RandomParamRequest());
+    ExpectRoundTrips(f.RandomParamReply());
     ExpectRoundTrips(f.RandomArrayOp());
     // The nested field lists are wire types of their own.
     ExpectRoundTrips(f.Metrics());
@@ -439,6 +571,97 @@ TEST(ProtocolFuzz, EveryWireTypeRoundTripsOnBothPaths) {
   for (int layout = 0; layout < 3; ++layout) {
     EXPECT_GT(layouts[layout], 0) << "cell store layout " << layout << " never drawn";
   }
+}
+
+// Key lists of every shape, in a request (any order, repeats allowed) and
+// in a hashed store (unique keys, any order), on both transport paths.
+TEST(ProtocolFuzz, KeyListsRoundTripOnBothPaths) {
+  int shapes_with_keys = 0;
+  for (u64 seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    WireFuzz f(seed);
+    ParamRequest req;
+    req.keys = f.Keys(/*unique=*/false);
+    ExpectRoundTrips(req);
+    EXPECT_EQ(Decode<ParamRequest>(Encode(req)).keys, req.keys);
+    const PartData pd = f.HashedPart();
+    ExpectRoundTrips(pd);
+    EXPECT_EQ(Decode<PartData>(Encode(pd)).cells.keys(), pd.cells.keys());
+    shapes_with_keys += req.keys.size() > 1 ? 1 : 0;
+  }
+  EXPECT_GT(shapes_with_keys, 100);
+  for (const std::vector<i64>& keys : std::vector<std::vector<i64>>{
+           {},
+           {0},
+           {std::numeric_limits<i64>::min()},
+           {std::numeric_limits<i64>::max(), std::numeric_limits<i64>::min(), 0, -1},
+           {std::numeric_limits<i64>::min(), std::numeric_limits<i64>::max()},
+       }) {
+    ParamRequest req;
+    req.keys = keys;
+    ExpectRoundTrips(req);
+    EXPECT_EQ(Decode<ParamRequest>(Encode(req)).keys, keys);
+  }
+}
+
+// A sorted, unique key list with small gaps costs one byte per key.
+TEST(ProtocolKeyList, SortedGapsUnder64CostOneBytePerKey) {
+  ParamRequest req;
+  for (i64 k = 1000; k < 1000 + 63 * 500; k += 63) {
+    req.keys.push_back(k);
+  }
+  ParamRequest empty;
+  // The first key, 1000, takes two bytes; every later gap one.
+  EXPECT_EQ(WireSize(req), WireSize(empty) + 2 + (req.keys.size() - 1));
+}
+
+// ---- kPerKey metering: a coalesced message charges exactly what the storm
+// of single-key messages would have, whatever the keys and misses. ----
+
+TEST(ProtocolMetering, PerKeyRequestsChargeLikeStormForAnyKeys) {
+  const std::vector<i64> keys = {900, -3, std::numeric_limits<i64>::max(), 17, 16, 1 << 30};
+  Fabric storm(1);
+  for (const i64 key : keys) {
+    ParamRequest req{7, 5, {key}};
+    req.per_key = true;
+    Message m = MakeMessage(0, kMasterRank, MsgKind::kParamRequest);
+    Attach(&m, std::move(req), /*zero_copy=*/false);
+    storm.Send(std::move(m));
+  }
+  Fabric coalesced(1);
+  ParamRequest req{7, 5, keys};
+  req.per_key = true;
+  Message m = MakeMessage(0, kMasterRank, MsgKind::kParamRequest);
+  MeterAsPerKeyRequests(&m, req);
+  Attach(&m, std::move(req), /*zero_copy=*/true);
+  coalesced.Send(std::move(m));
+  EXPECT_EQ(storm.Stats().messages_sent, coalesced.Stats().messages_sent);
+  EXPECT_EQ(storm.Stats().bytes_sent, coalesced.Stats().bytes_sent);
+}
+
+TEST(ProtocolMetering, PerKeyRepliesWithMissesChargeLikeStorm) {
+  constexpr i32 kDim = 2;
+  CellStore master(kDim, CellStore::Layout::kHashed, 0);
+  for (const i64 key : {4, 8, 15, 16}) {
+    master.GetOrCreate(key)[1] = static_cast<f32>(key);
+  }
+  const std::vector<i64> keys = {4, 5, 8, 15, 23, 16, 42};  // 3 misses
+  Fabric storm(1);
+  for (const i64 key : keys) {
+    ParamRequest req{3, 1, {key}};
+    req.per_key = true;
+    Message reply = BuildParamReply(req, master, kDim, /*zero_copy=*/false);
+    reply.to = 0;
+    storm.Send(std::move(reply));
+  }
+  Fabric coalesced(1);
+  ParamRequest req{3, 1, keys};
+  req.per_key = true;
+  Message reply = BuildParamReply(req, master, kDim, /*zero_copy=*/true);
+  reply.to = 0;
+  coalesced.Send(std::move(reply));
+  EXPECT_EQ(storm.Stats().messages_sent, coalesced.Stats().messages_sent);
+  EXPECT_EQ(storm.Stats().bytes_sent, coalesced.Stats().bytes_sent);
 }
 
 // ---- Round trips of the control messages workers exchange every pass -----
