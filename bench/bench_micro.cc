@@ -1,8 +1,9 @@
 // Library micro-benchmarks (google-benchmark): the static-analysis path
 // (subscript classification, dependence vectors, planning), storage
-// primitives, the worker's buffered-update and key sort-unique paths, and
-// schedule math. These quantify the "compilation" cost the paper amortizes
-// by compiling each loop once (Sec. 4.1).
+// primitives, a kernel's DistArray accesses through a LoopContext, the
+// worker's buffered-update and key sort-unique paths, and schedule math.
+// These quantify the "compilation" cost the paper amortizes by compiling
+// each loop once (Sec. 4.1).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include "src/dsm/dist_array_buffer.h"
 #include "src/dsm/versioned_store.h"
 #include "src/ir/expr.h"
+#include "src/ir/loop_context.h"
 #include "src/runtime/param_server.h"
 #include "src/runtime/protocol.h"
 #include "src/sched/schedule.h"
@@ -113,6 +115,106 @@ void BM_CellStoreSerializeRoundtrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CellStoreSerializeRoundtrip);
+
+// A LoopContext over dense stores, as a worker holds them for one block.
+// Its indirect path finds the array's store and key space by id, encodes,
+// and asks the store, as a worker does for an array without a view; with
+// views installed, Read and Mutate resolve inline instead.
+class DenseBlockContext : public LoopContext {
+ public:
+  void AddArray(DistArrayId id, const KeySpace* ks, CellStore* store) {
+    if (static_cast<size_t>(id) >= arrays_.size()) {
+      arrays_.resize(static_cast<size_t>(id) + 1);
+    }
+    arrays_[static_cast<size_t>(id)] = {ks, store};
+  }
+  void InstallViews() {
+    for (size_t id = 0; id < arrays_.size(); ++id) {
+      const auto& [ks, store] = arrays_[id];
+      if (store != nullptr) {
+        InstallView(static_cast<DistArrayId>(id), store, *ks, /*writable=*/true);
+      }
+    }
+  }
+  void BufferUpdate(DistArrayId, IdxSpan, const f32*) override {}
+  void AccumulatorAdd(int, f64) override {}
+
+ protected:
+  const f32* ReadIndirect(DistArrayId array, IdxSpan idx) override {
+    const auto& [ks, store] = arrays_[static_cast<size_t>(array)];
+    return store->Get(ks->EncodeUnchecked(idx));
+  }
+  f32* MutateIndirect(DistArrayId array, IdxSpan idx) override {
+    const auto& [ks, store] = arrays_[static_cast<size_t>(array)];
+    return store->GetOrCreate(ks->EncodeUnchecked(idx));
+  }
+
+ private:
+  std::vector<std::pair<const KeySpace*, CellStore*>> arrays_;
+};
+
+// One SGD-MF block of ~19k ratings at rank 16, run as a worker runs it:
+// decode each rating's key, call the kernel through LoopKernel, and let it
+// Mutate W[i] and H[j] through the context. Arg 0 takes every access through
+// the virtual indirect path, arg 1 through the block's direct views. Items
+// are ratings.
+void BM_LoopContextAccess(benchmark::State& state) {
+  constexpr i64 kRows = 600;
+  constexpr i64 kCols = 500;
+  constexpr i32 kRank = 16;
+  constexpr DistArrayId kW = 1;
+  constexpr DistArrayId kH = 2;
+  const KeySpace ratings_ks({kRows, kCols});
+  const KeySpace w_ks({kRows});
+  const KeySpace h_ks({kCols});
+  CellStore ratings(1, CellStore::Layout::kHashed, 0);
+  Rng rng(11);
+  auto uniform = [&rng](f32 scale) { return scale * static_cast<f32>(rng.NextDouble()); };
+  while (ratings.NumCells() < 19000) {
+    *ratings.GetOrCreate(rng.NextIndex(kRows * kCols)) = 1.0f + uniform(0.5f);
+  }
+  CellStore w = CellStore::DenseRange(kRank, 0, kRows - 1);
+  CellStore h = CellStore::DenseRange(kRank, 0, kCols - 1);
+  for (CellStore* factors : {&w, &h}) {
+    factors->ForEachFast([&](i64, f32* v) {
+      for (int k = 0; k < kRank; ++k) {
+        v[k] = uniform(0.1f);
+      }
+    });
+  }
+  const LoopKernel kernel = [](LoopContext& ctx, IdxSpan idx, const f32* value) {
+    const i64 key_i[1] = {idx[0]};
+    const i64 key_j[1] = {idx[1]};
+    f32* wi = ctx.Mutate(kW, key_i);
+    f32* hj = ctx.Mutate(kH, key_j);
+    f32 pred = 0.0f;
+    for (int k = 0; k < kRank; ++k) {
+      pred += wi[k] * hj[k];
+    }
+    const f32 step = 2e-4f * (value[0] - pred);
+    for (int k = 0; k < kRank; ++k) {
+      const f32 wk = wi[k];
+      wi[k] = wk + step * hj[k];
+      hj[k] = hj[k] + step * wk;
+    }
+  };
+  DenseBlockContext ctx;
+  ctx.AddArray(kW, &w_ks, &w);
+  ctx.AddArray(kH, &h_ks, &h);
+  if (state.range(0) != 0) {
+    ctx.InstallViews();
+  }
+  std::vector<i64> idx(2);
+  for (auto _ : state) {
+    ratings.ForEachFast([&](i64 key, f32* value) {
+      ratings_ks.DecodeInto(key, idx);
+      kernel(ctx, idx, value);
+    });
+    benchmark::DoNotOptimize(w.raw_values_data());
+  }
+  state.SetItemsProcessed(state.iterations() * ratings.NumCells());
+}
+BENCHMARK(BM_LoopContextAccess)->Arg(0)->Arg(1);
 
 // SLR-shaped buffered updates: a 20k-update stream over 50k cells in which a
 // quarter of the updates are a key's first touch, accumulated and drained.

@@ -69,12 +69,19 @@ class KeySpace {
   }
 
   // Allocation-free decode into a preallocated span (hot path; keys come
-  // from trusted stores, so no bounds validation).
+  // from trusted stores, so no bounds validation). The last stride is 1, so
+  // the last coordinate is what remains after the leading divisions.
   void DecodeInto(i64 key, std::span<i64> idx) const {
-    for (size_t d = 0; d < dims_.size(); ++d) {
-      idx[d] = key / strides_[d];
-      key %= strides_[d];
+    if (dims_.empty()) {
+      return;
     }
+    const size_t last = dims_.size() - 1;
+    for (size_t d = 0; d < last; ++d) {
+      const i64 q = key / strides_[d];
+      idx[d] = q;
+      key -= q * strides_[d];
+    }
+    idx[last] = key;
   }
 
   const std::vector<i64>& strides() const { return strides_; }

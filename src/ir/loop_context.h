@@ -8,13 +8,32 @@
 //   - access-recording mode (the synthesized bulk-prefetch pass, paper
 //     Sec. 4.4): reads of server-hosted arrays record their subscript and
 //     return a zero span; writes are discarded.
+//
+// Read and Mutate are inline and non-virtual. Each first consults a
+// per-context table of direct views, indexed by array id: a view maps a
+// subscript straight to a cell of one dense store (base pointer, key range,
+// value_dim, strides), so a kernel's hot accesses cost an encode, one range
+// compare and an offset. An executor installs views at the start of each
+// block for the dense stores the block touches: its owned range partition
+// and resident rotated partitions (read and write), and the dense prefetch
+// caches of server-hosted arrays (read only; a Mutate of such an array drops
+// its view, so later reads see the dirty copy). Everything else takes the
+// virtual ReadIndirect/MutateIndirect path: hashed stores and replicas, the
+// iteration space, keys outside a view's range (which die or read zeros
+// there, as the store's own lookup decides), and every access of the
+// recording pass and of the driver's serial oracle. Those two install no
+// views: the recording pass's writes must land in scratch, and the oracle
+// stays an independent reference for the executor's fast path.
 #ifndef ORION_SRC_IR_LOOP_CONTEXT_H_
 #define ORION_SRC_IR_LOOP_CONTEXT_H_
 
 #include <functional>
 #include <span>
+#include <vector>
 
 #include "src/common/types.h"
+#include "src/dsm/cell_store.h"
+#include "src/dsm/key_space.h"
 
 namespace orion {
 
@@ -26,12 +45,18 @@ class LoopContext {
 
   // Reads a cell of `array`. Never returns nullptr: absent sparse cells and
   // recording-mode reads yield a zero-filled span of the array's value_dim.
-  virtual const f32* Read(DistArrayId array, IdxSpan idx) = 0;
+  const f32* Read(DistArrayId array, IdxSpan idx) {
+    const f32* cell = ViewCell(array, idx, /*write=*/false);
+    return cell != nullptr ? cell : ReadIndirect(array, idx);
+  }
 
   // Returns a mutable span for a cell this worker owns (dependence-preserving
   // in-place write). Aborts if the cell is not locally owned — the planner
   // guarantees owned access for analyzable writes.
-  virtual f32* Mutate(DistArrayId array, IdxSpan idx) = 0;
+  f32* Mutate(DistArrayId array, IdxSpan idx) {
+    f32* cell = ViewCell(array, idx, /*write=*/true);
+    return cell != nullptr ? cell : MutateIndirect(array, idx);
+  }
 
   // Routes an update through the DistArray Buffer registered for `array`
   // (dependence-exempt write; applied later with the buffer's apply UDF).
@@ -43,6 +68,74 @@ class LoopContext {
   // True during the synthesized access-recording (prefetch) pass; kernels
   // never need to check this, but exotic bodies may skip pure compute.
   virtual bool recording() const { return false; }
+
+ protected:
+  // Every access that no view serves: other layouts and placements, keys
+  // outside a view's range, and Mutate of a read-only view.
+  virtual const f32* ReadIndirect(DistArrayId array, IdxSpan idx) = 0;
+  virtual f32* MutateIndirect(DistArrayId array, IdxSpan idx) = 0;
+
+  // Serves `array`'s accesses from the dense `store` directly, read only
+  // unless `writable`, until DropView. `store` and `ks` (the array's key
+  // space) must outlive the view, and the store's cells must not move.
+  void InstallView(DistArrayId array, CellStore* store, const KeySpace& ks, bool writable) {
+    ORION_CHECK(array >= 0 && store->IsDense());
+    if (static_cast<size_t>(array) >= views_.size()) {
+      views_.resize(static_cast<size_t>(array) + 1);
+    }
+    views_[static_cast<size_t>(array)] = DirectView{
+        .base = store->raw_values_data(),
+        .lo = store->range_lo(),
+        .num_cells = static_cast<u64>(store->NumCells()),
+        .value_dim = store->value_dim(),
+        .strides = ks.strides().data(),
+        .num_dims = ks.strides().size(),
+        .writable = writable,
+    };
+  }
+  void DropView(DistArrayId array) {
+    if (static_cast<size_t>(array) < views_.size()) {
+      views_[static_cast<size_t>(array)] = DirectView{};
+    }
+  }
+
+ private:
+  // The cell `idx` names through `array`'s view, or nullptr when no view
+  // serves it (no view, a read-only view asked to write, or a key outside
+  // the view's range).
+  f32* ViewCell(DistArrayId array, IdxSpan idx, bool write) const {
+    // A negative id converts to a huge size_t and misses the table.
+    if (static_cast<size_t>(array) >= views_.size()) {
+      return nullptr;
+    }
+    const DirectView& v = views_[static_cast<size_t>(array)];
+    if (v.base == nullptr || (write && !v.writable)) {
+      return nullptr;
+    }
+    i64 key = 0;
+    for (size_t d = 0; d < v.num_dims; ++d) {
+      key += idx[d] * v.strides[d];
+    }
+    // One unsigned compare tests lo <= key < lo + num_cells.
+    if (static_cast<u64>(key - v.lo) >= v.num_cells) {
+      return nullptr;
+    }
+    return v.base + (key - v.lo) * v.value_dim;
+  }
+
+  // A dense store's cells [lo, lo + num_cells) at base + (key - lo) *
+  // value_dim, keyed row-major by the array's strides.
+  struct DirectView {
+    f32* base = nullptr;  // nullptr: no view
+    i64 lo = 0;
+    u64 num_cells = 0;
+    i64 value_dim = 0;
+    const i64* strides = nullptr;
+    size_t num_dims = 0;
+    bool writable = false;
+  };
+
+  std::vector<DirectView> views_;
 };
 
 // The compiled loop body. `idx` is the iteration index vector (the element's

@@ -894,6 +894,8 @@ namespace {
 
 // Serial fallback context: reads and writes the driver's master copies
 // directly; buffered updates apply immediately through the registered UDF.
+// It installs no direct views: as the oracle parallel runs are checked
+// against, every access takes the plain store lookup.
 class SerialLoopContext : public LoopContext {
  public:
   SerialLoopContext(Driver* driver, const SharedDirectory* dir,
@@ -901,7 +903,7 @@ class SerialLoopContext : public LoopContext {
                     std::vector<AccumOp>* ops)
       : driver_(driver), dir_(dir), stores_(stores), accum_(accum), ops_(ops) {}
 
-  const f32* Read(DistArrayId array, IdxSpan idx) override {
+  const f32* ReadIndirect(DistArrayId array, IdxSpan idx) override {
     CellStore* store = StoreFor(array);
     const f32* v = store->Get(driver_->Meta(array).key_space.EncodeUnchecked(idx));
     if (v != nullptr) {
@@ -911,7 +913,7 @@ class SerialLoopContext : public LoopContext {
     return zeros_.data();
   }
 
-  f32* Mutate(DistArrayId array, IdxSpan idx) override {
+  f32* MutateIndirect(DistArrayId array, IdxSpan idx) override {
     CellStore* store = StoreFor(array);
     return store->GetOrCreate(driver_->Meta(array).key_space.EncodeUnchecked(idx));
   }

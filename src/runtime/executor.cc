@@ -24,7 +24,42 @@ class WorkerLoopContext : public LoopContext {
   WorkerLoopContext(Executor* ex, const CompiledLoop* cl, int tau)
       : ex_(ex), cl_(cl), tau_(tau) {}
 
-  const f32* Read(DistArrayId array, IdxSpan idx) override {
+  // Installs a direct view of every dense store this block touches: the
+  // owned range partition and the resident rotated partitions (read and
+  // write), and the prefetch cache of each server-hosted array (read only,
+  // and only while no dirty copy shadows it: MutateIndirect drops it).
+  // Stores are looked up, never created, so a rotated part that is not
+  // resident stays absent for WaitForPart.
+  void InstallDenseViews() {
+    for (const auto& [array, placement] : cl_->plan.placements) {
+      Executor::ArrayState& st = ex_->GetArray(array);
+      CellStore* store = nullptr;
+      bool writable = true;
+      switch (placement.scheme) {
+        case PartitionScheme::kRange:
+          store = &st.range_store;
+          break;
+        case PartitionScheme::kSpaceTime: {
+          auto it = st.parts.find(tau_);
+          store = it != st.parts.end() ? &it->second : nullptr;
+          break;
+        }
+        case PartitionScheme::kServer:
+          if (st.server_dirty.NumCells() == 0) {
+            store = &st.prefetch_cache;
+            writable = false;
+          }
+          break;
+        default:
+          break;
+      }
+      if (store != nullptr && store->IsDense()) {
+        InstallView(array, store, st.meta.key_space, writable);
+      }
+    }
+  }
+
+  const f32* ReadIndirect(DistArrayId array, IdxSpan idx) override {
     Resolved& r = Resolve(array);
     const i64 key = r.st->meta.key_space.EncodeUnchecked(idx);
     const f32* v = nullptr;
@@ -46,7 +81,7 @@ class WorkerLoopContext : public LoopContext {
     return v != nullptr ? v : r.st->zeros.data();
   }
 
-  f32* Mutate(DistArrayId array, IdxSpan idx) override {
+  f32* MutateIndirect(DistArrayId array, IdxSpan idx) override {
     Resolved& r = Resolve(array);
     const i64 key = r.st->meta.key_space.EncodeUnchecked(idx);
     switch (r.scheme) {
@@ -55,7 +90,9 @@ class WorkerLoopContext : public LoopContext {
         return r.store->GetOrCreate(key);
       case PartitionScheme::kServer: {
         // Copy-on-write from the prefetched value; flushed as an overwrite
-        // at the end of the step (wavefront/unimodular loops).
+        // at the end of the step (wavefront/unimodular loops). Later reads
+        // must see the dirty copy, so the cache's read-only view goes.
+        DropView(array);
         const bool existed = r.st->server_dirty.Contains(key);
         f32* dirty = r.st->server_dirty.GetOrCreate(key);
         if (!existed) {
@@ -122,8 +159,11 @@ class WorkerLoopContext : public LoopContext {
           r.store = &r.st->range_store;
           break;
         case PartitionScheme::kSpaceTime: {
-          auto [it, inserted] = r.st->parts.try_emplace(
-              tau_, CellStore(r.st->meta.value_dim, CellStore::Layout::kHashed, 0));
+          // Never plant a placeholder: WaitForPart takes any part present
+          // at tau for the one it waits on.
+          auto it = r.st->parts.find(tau_);
+          ORION_CHECK(it != r.st->parts.end())
+              << "rotated part" << tau_ << "of array" << array << "is not resident";
           r.store = &it->second;
           break;
         }
@@ -175,7 +215,7 @@ class RecordingLoopContext : public WorkerLoopContext {
                        std::map<DistArrayId, std::vector<i64>>* recorded)
       : WorkerLoopContext(ex, cl, tau), recorded_(recorded) {}
 
-  f32* Mutate(DistArrayId array, IdxSpan idx) override {
+  f32* MutateIndirect(DistArrayId array, IdxSpan idx) override {
     Resolved& r = Resolve(array);
     if (ex_->mutate_scratch_.size() < static_cast<size_t>(r.st->meta.value_dim)) {
       ex_->mutate_scratch_.resize(static_cast<size_t>(r.st->meta.value_dim));
@@ -621,6 +661,7 @@ void Executor::ExecuteCells(const CompiledLoop& cl, int tau, int chunk, int num_
   }
   ORION_TRACE_SPAN(kExecutor, "compute");
   WorkerLoopContext ctx(this, &cl, tau);
+  ctx.InstallDenseViews();
   const KeySpace& ks = iter.meta.key_space;
   std::vector<i64> idx(static_cast<size_t>(ks.num_dims()));
   CpuStopwatch sw;
@@ -1155,8 +1196,8 @@ void Executor::RunPass(i32 loop_id, i32 pass, int spec_depth) {
       }
       if (pipelined && prefetch_ring_.empty()) {
         // Shallow issue: kernel-replay recording needs step t+1's rotated
-        // partitions resident (replay reads them, and resolving would
-        // otherwise plant empty placeholder parts that fool WaitForPart).
+        // partitions resident (replay reads them, and Resolve CHECKs that
+        // they are rather than plant placeholders that fool WaitForPart).
         // When they already arrived, the request still overlaps the tail
         // of this step and the next step's wait.
         const int nstep = next_active(issued_through);

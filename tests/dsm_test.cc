@@ -41,6 +41,29 @@ TEST(KeySpace, EncodeDecodeRoundtrip) {
   }
 }
 
+// DecodeInto takes the last coordinate as what remains after dividing out
+// the leading ones: pin it against the encode over every key of key spaces
+// with one to three dimensions, including size-1 dimensions in each place.
+TEST(KeySpace, DecodeIntoRoundTripsEveryKey) {
+  const std::vector<std::vector<i64>> shapes = {
+      {1}, {7}, {1, 1}, {1, 5}, {5, 1}, {3, 4}, {1, 1, 1}, {2, 1, 3}, {1, 4, 1}, {4, 5, 6}};
+  for (const auto& dims : shapes) {
+    const KeySpace ks(dims);
+    std::vector<i64> idx(dims.size(), -1);
+    for (i64 key = 0; key < ks.total(); ++key) {
+      ks.DecodeInto(key, idx);
+      ASSERT_TRUE(ks.Contains(idx)) << "key " << key << " of shape size " << dims.size();
+      ASSERT_EQ(ks.Encode(idx), key) << "shape size " << dims.size();
+    }
+    ks.DecodeInto(0, idx);
+    EXPECT_EQ(idx, std::vector<i64>(dims.size(), 0));
+    ks.DecodeInto(ks.total() - 1, idx);
+    for (size_t d = 0; d < dims.size(); ++d) {
+      EXPECT_EQ(idx[d], dims[d] - 1) << "dimension " << d;
+    }
+  }
+}
+
 TEST(KeySpace, LastDimContiguous) {
   const KeySpace ks({3, 7});
   EXPECT_EQ(ks.Encode(std::vector<i64>{0, 1}) - ks.Encode(std::vector<i64>{0, 0}), 1);
