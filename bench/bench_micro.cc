@@ -116,41 +116,59 @@ void BM_CellStoreSerializeRoundtrip(benchmark::State& state) {
 }
 BENCHMARK(BM_CellStoreSerializeRoundtrip);
 
-// A LoopContext over dense stores, as a worker holds them for one block.
-// Its indirect path finds the array's store and key space by id, encodes,
-// and asks the store, as a worker does for an array without a view; with
-// views installed, Read and Mutate resolve inline instead.
+// A LoopContext over dense stores and buffers, as a worker holds them for
+// one block. Its indirect path finds the array's store or buffer and key
+// space by id, encodes, and asks the store or buffer, as a worker does for
+// an array without a view; with views installed, Read, Mutate and
+// BufferUpdate resolve inline instead.
 class DenseBlockContext : public LoopContext {
  public:
-  void AddArray(DistArrayId id, const KeySpace* ks, CellStore* store) {
+  void AddArray(DistArrayId id, const KeySpace* ks, CellStore* store,
+                DistArrayBuffer* buf = nullptr) {
     if (static_cast<size_t>(id) >= arrays_.size()) {
       arrays_.resize(static_cast<size_t>(id) + 1);
     }
-    arrays_[static_cast<size_t>(id)] = {ks, store};
+    arrays_[static_cast<size_t>(id)] = {ks, store, buf};
   }
   void InstallViews() {
     for (size_t id = 0; id < arrays_.size(); ++id) {
-      const auto& [ks, store] = arrays_[id];
-      if (store != nullptr) {
-        InstallView(static_cast<DistArrayId>(id), store, *ks, /*writable=*/true);
+      const Array& a = arrays_[id];
+      if (a.store != nullptr) {
+        InstallView(static_cast<DistArrayId>(id), a.store, *a.ks, /*writable=*/true);
       }
     }
   }
-  void BufferUpdate(DistArrayId, IdxSpan, const f32*) override {}
+  void InstallBufferViews() {
+    for (size_t id = 0; id < arrays_.size(); ++id) {
+      const Array& a = arrays_[id];
+      if (a.buf != nullptr) {
+        InstallBufferView(static_cast<DistArrayId>(id), a.buf, *a.ks);
+      }
+    }
+  }
   void AccumulatorAdd(int, f64) override {}
 
  protected:
   const f32* ReadIndirect(DistArrayId array, IdxSpan idx) override {
-    const auto& [ks, store] = arrays_[static_cast<size_t>(array)];
-    return store->Get(ks->EncodeUnchecked(idx));
+    const Array& a = arrays_[static_cast<size_t>(array)];
+    return a.store->Get(a.ks->EncodeUnchecked(idx));
   }
   f32* MutateIndirect(DistArrayId array, IdxSpan idx) override {
-    const auto& [ks, store] = arrays_[static_cast<size_t>(array)];
-    return store->GetOrCreate(ks->EncodeUnchecked(idx));
+    const Array& a = arrays_[static_cast<size_t>(array)];
+    return a.store->GetOrCreate(a.ks->EncodeUnchecked(idx));
+  }
+  void BufferUpdateIndirect(DistArrayId array, IdxSpan idx, const f32* update) override {
+    const Array& a = arrays_[static_cast<size_t>(array)];
+    a.buf->Accumulate(a.ks->EncodeUnchecked(idx), update);
   }
 
  private:
-  std::vector<std::pair<const KeySpace*, CellStore*>> arrays_;
+  struct Array {
+    const KeySpace* ks = nullptr;
+    CellStore* store = nullptr;
+    DistArrayBuffer* buf = nullptr;
+  };
+  std::vector<Array> arrays_;
 };
 
 // One SGD-MF block of ~19k ratings at rank 16, run as a worker runs it:
@@ -215,6 +233,107 @@ void BM_LoopContextAccess(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * ratings.NumCells());
 }
 BENCHMARK(BM_LoopContextAccess)->Arg(0)->Arg(1);
+
+// One SLR block: 625 samples of 30 features over 50k weights. Each sample's
+// value span is [label, n, id_0, x_0, ..., id_29, x_29], as SlrApp lays it out.
+constexpr i64 kSlrCells = 50000;
+constexpr i64 kSlrSamples = 625;
+constexpr int kSlrFeatures = 30;
+constexpr size_t kSlrValueDim = 2 + 2 * kSlrFeatures;
+
+std::vector<f32> SlrBlock() {
+  Rng rng(13);
+  std::vector<f32> values(static_cast<size_t>(kSlrSamples) * kSlrValueDim);
+  for (i64 s = 0; s < kSlrSamples; ++s) {
+    f32* row = values.data() + static_cast<size_t>(s) * kSlrValueDim;
+    row[0] = static_cast<f32>(rng.NextIndex(2));
+    row[1] = static_cast<f32>(kSlrFeatures);
+    for (int f = 0; f < kSlrFeatures; ++f) {
+      row[2 + 2 * f] = static_cast<f32>(rng.NextIndex(kSlrCells));  // exact below 2^24
+      row[3 + 2 * f] = static_cast<f32>(rng.NextDouble());
+    }
+  }
+  return values;
+}
+
+// That block run as a worker runs it: the kernel reads each feature's weight
+// (through a view, in both args) and buffers its gradient, then the buffer
+// drains, as it does once per sync round. Arg 0 takes every BufferUpdate
+// through the virtual indirect path, arg 1 through a buffer view. Items are
+// buffered updates.
+void BM_LoopContextBufferUpdate(benchmark::State& state) {
+  constexpr DistArrayId kWeights = 1;
+  const KeySpace w_ks({kSlrCells});
+  CellStore w = CellStore::DenseRange(1, 0, kSlrCells - 1);
+  w.ForEachFast([](i64 key, f32* v) { v[0] = static_cast<f32>(key % 7) * 1e-3f; });
+  DistArrayBuffer buf(kWeights, 1, kSlrCells, MakeAddApplyFn());
+  const std::vector<f32> samples = SlrBlock();
+  const LoopKernel kernel = [](LoopContext& ctx, IdxSpan, const f32* value) {
+    const int n = static_cast<int>(value[1]);
+    f64 margin = 0.0;
+    for (int f = 0; f < n; ++f) {
+      const i64 id[1] = {static_cast<i64>(value[2 + 2 * f])};
+      margin += static_cast<f64>(ctx.Read(kWeights, id)[0]) * static_cast<f64>(value[3 + 2 * f]);
+    }
+    const f32 err = (margin > 0.0 ? 1.0f : 0.0f) - value[0];
+    for (int f = 0; f < n; ++f) {
+      const i64 id[1] = {static_cast<i64>(value[2 + 2 * f])};
+      const f32 update = -1e-3f * err * value[3 + 2 * f];
+      ctx.BufferUpdate(kWeights, id, &update);
+    }
+  };
+  DenseBlockContext ctx;
+  ctx.AddArray(kWeights, &w_ks, &w, &buf);
+  ctx.InstallViews();
+  if (state.range(0) != 0) {
+    ctx.InstallBufferViews();
+  }
+  std::vector<i64> idx(1);
+  for (auto _ : state) {
+    for (i64 s = 0; s < kSlrSamples; ++s) {
+      idx[0] = s;
+      kernel(ctx, idx, samples.data() + static_cast<size_t>(s) * kSlrValueDim);
+    }
+    benchmark::DoNotOptimize(buf.Drain());
+  }
+  state.SetItemsProcessed(state.iterations() * kSlrSamples * kSlrFeatures);
+}
+BENCHMARK(BM_LoopContextBufferUpdate)->Arg(0)->Arg(1);
+
+// The recording pass's read stream over that block (18.75k weight reads)
+// collected into a sorted, unique key list: arg 0 appends every key and runs
+// SortUniqueKeys, arg 1 marks a KeyBitmap and scans it. Items are reads.
+void BM_RecordKeys(benchmark::State& state) {
+  const std::vector<f32> samples = SlrBlock();
+  std::vector<i64> stream;
+  for (i64 s = 0; s < kSlrSamples; ++s) {
+    const f32* row = samples.data() + static_cast<size_t>(s) * kSlrValueDim;
+    for (int f = 0; f < kSlrFeatures; ++f) {
+      stream.push_back(static_cast<i64>(row[2 + 2 * f]));
+    }
+  }
+  const bool bitmap = state.range(0) != 0;
+  KeyBitmap marks(kSlrCells);
+  std::vector<i64> keys;
+  std::vector<i64> scratch;
+  for (auto _ : state) {
+    keys.clear();
+    if (bitmap) {
+      for (const i64 k : stream) {
+        marks.Mark(k);
+      }
+      marks.TakeSorted(&keys);
+    } else {
+      for (const i64 k : stream) {
+        keys.push_back(k);
+      }
+      SortUniqueKeys(&keys, &scratch);
+    }
+    benchmark::DoNotOptimize(keys.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<i64>(stream.size()));
+}
+BENCHMARK(BM_RecordKeys)->Arg(0)->Arg(1);
 
 // SLR-shaped buffered updates: a 20k-update stream over 50k cells in which a
 // quarter of the updates are a key's first touch, accumulated and drained.

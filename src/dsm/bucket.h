@@ -10,12 +10,16 @@
 // SortUniqueKeys: the same counting sort, one radix digit at a time, turns a
 // key list into its sorted, duplicate-free form in time linear in its length;
 // a list over a dense key range takes one bitmap pass instead.
+//
+// KeyBitmap: the same bitmap pass without the list: keys of a known dense
+// key space are marked as they arrive and read back sorted and unique.
 #ifndef ORION_SRC_DSM_BUCKET_H_
 #define ORION_SRC_DSM_BUCKET_H_
 
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -126,6 +130,75 @@ inline void SortUniqueKeys(std::vector<i64>* keys, std::vector<i64>* scratch) {
     keys->erase(std::unique_copy(scratch->begin(), scratch->end(), keys->begin()), keys->end());
   }
 }
+
+// Collects a stream of keys in [0, num_keys) into what SortUniqueKeys leaves
+// for the same stream, without materializing the stream: Mark sets one bit
+// per key, and TakeSorted reads the set bits back in ascending order. It
+// scans only the words between the lowest and the highest marked key and
+// clears them as it goes, so one bitmap serves round after round.
+class KeyBitmap {
+ public:
+  KeyBitmap() = default;
+  explicit KeyBitmap(i64 num_keys)
+      : num_keys_(static_cast<u64>(num_keys)),
+        words_((static_cast<size_t>(num_keys) + 63) / 64, 0) {
+    ORION_CHECK(num_keys >= 0);
+  }
+
+  i64 num_keys() const { return static_cast<i64>(num_keys_); }
+  bool empty() const { return lo_ > hi_; }
+
+  // Marks `key`. Returns false, marking nothing, for a key outside
+  // [0, num_keys).
+  bool Mark(i64 key) {
+    const u64 k = static_cast<u64>(key);  // a negative key wraps past num_keys
+    if (k >= num_keys_) {
+      return false;
+    }
+    const size_t w = static_cast<size_t>(k >> 6);
+    words_[w] |= u64{1} << (k & 63);
+    lo_ = std::min(lo_, w);
+    hi_ = std::max(hi_, w);
+    return true;
+  }
+
+  // Appends the marked keys to *out, ascending, and clears them.
+  void TakeSorted(std::vector<i64>* out) {
+    if (empty()) {
+      return;
+    }
+    size_t n = 0;
+    for (size_t w = lo_; w <= hi_; ++w) {
+      n += static_cast<size_t>(std::popcount(words_[w]));
+    }
+    out->reserve(out->size() + n);
+    for (size_t w = lo_; w <= hi_; ++w) {
+      for (u64 bits = std::exchange(words_[w], 0); bits != 0; bits &= bits - 1) {
+        out->push_back(static_cast<i64>((w << 6) + static_cast<size_t>(std::countr_zero(bits))));
+      }
+    }
+    lo_ = kNone;
+    hi_ = 0;
+  }
+
+  // Drops every mark.
+  void Clear() {
+    if (!empty()) {
+      std::fill(words_.begin() + static_cast<std::ptrdiff_t>(lo_),
+                words_.begin() + static_cast<std::ptrdiff_t>(hi_) + 1, 0);
+    }
+    lo_ = kNone;
+    hi_ = 0;
+  }
+
+ private:
+  static constexpr size_t kNone = std::numeric_limits<size_t>::max();
+
+  u64 num_keys_ = 0;
+  std::vector<u64> words_;  // bit k: key k is marked
+  size_t lo_ = kNone;       // words [lo_, hi_] hold every mark; empty when lo_ > hi_
+  size_t hi_ = 0;
+};
 
 }  // namespace orion
 

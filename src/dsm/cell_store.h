@@ -3,7 +3,9 @@
 // Three layouts:
 //  - kHashed: holds an arbitrary subset of cells (sparse arrays, server
 //    shards, caches), found through a FlatIndex. Iteration order is
-//    insertion order, so executions are deterministic.
+//    insertion order, so executions are deterministic. A store that is only
+//    ever walked in order (a drained DistArray Buffer) is built Unindexed:
+//    it skips the index, and a keyed lookup on it CHECK-fails.
 //  - kDenseRange: holds the contiguous key range [lo, hi] of a dense array
 //    (range partitions and rotated partitions of dense parameter arrays).
 //    Constant-time, hash-free access — this is the hot path of kernels.
@@ -86,6 +88,19 @@ class CellStore {
     return s;
   }
 
+  // Like Hashed, but builds no index: for stores whose consumers only walk
+  // the cells in order (ForEach*, the wire codec, Serialize). The caller
+  // guarantees that no key repeats. Get, Find, GetOrCreate and Contains
+  // CHECK-fail on such a store.
+  static CellStore Unindexed(i32 value_dim, std::vector<i64> keys, std::vector<f32> values) {
+    CellStore s(value_dim, Layout::kHashed, 0);
+    ORION_CHECK(values.size() == keys.size() * static_cast<size_t>(value_dim));
+    s.keys_ = std::move(keys);
+    s.values_ = std::move(values);
+    s.indexed_ = false;
+    return s;
+  }
+
   i32 value_dim() const { return value_dim_; }
   Layout layout() const { return layout_; }
   bool IsDense() const { return layout_ != Layout::kHashed; }
@@ -103,6 +118,7 @@ class CellStore {
           << "key" << key << "outside dense range [" << range_lo_ << "," << range_hi_ << "]";
       return values_.data() + static_cast<size_t>(key - range_lo_) * value_dim_;
     }
+    CheckIndexed();
     const i64 slot = index_.Find(key);
     return slot < 0 ? nullptr : values_.data() + static_cast<size_t>(slot) * value_dim_;
   }
@@ -126,6 +142,7 @@ class CellStore {
           << "key" << key << "outside dense range [" << range_lo_ << "," << range_hi_ << "]";
       return values_.data() + static_cast<size_t>(key - range_lo_) * value_dim_;
     }
+    CheckIndexed();
     const i64 next = static_cast<i64>(keys_.size());
     const i64 slot = index_.FindOrInsert(key, next);
     if (slot == next) {
@@ -139,6 +156,7 @@ class CellStore {
     if (IsDense()) {
       return key >= range_lo_ && key <= range_hi_;
     }
+    CheckIndexed();
     return index_.Find(key) >= 0;
   }
 
@@ -228,6 +246,7 @@ class CellStore {
     index_.Clear();
     keys_.clear();
     values_.clear();
+    indexed_ = true;  // an empty index indexes an empty store
   }
 
   // ---- Serialization (checkpoints and the delta log) ----
@@ -342,6 +361,10 @@ class CellStore {
   f32* raw_values_data() { return values_.data(); }
 
  private:
+  void CheckIndexed() const {
+    ORION_CHECK(indexed_) << "keyed lookup on an unindexed cell store";
+  }
+
   // Indexes keys_[i] -> slot i for a freshly deserialized hashed store.
   // Returns the position of the first repeated key, or -1.
   i64 IndexKeys() {
@@ -359,6 +382,7 @@ class CellStore {
   i64 range_lo_ = 0;   // dense layouts: first key
   i64 range_hi_ = -1;  // dense layouts: last key (inclusive)
   FlatIndex index_;        // hashed layout: key -> slot (position in keys_)
+  bool indexed_ = true;    // hashed layout: false for an Unindexed store
   std::vector<i64> keys_;  // insertion order
   std::vector<f32> values_;
 };

@@ -74,8 +74,11 @@ class DistArrayBuffer {
 
   i64 NumPending() const { return static_cast<i64>(order_.size()); }
 
-  // Drains the pending updates into a hashed store, in ascending key order
-  // (leaves the buffer empty).
+  // Drains the pending updates into an unindexed hashed store, in ascending
+  // key order (leaves the buffer empty). Every consumer walks the drained
+  // store in order (ApplyTo, the wire codec, the master's apply), so it
+  // builds no key index. The buffer keeps room for as many touched keys as
+  // it drained, so the next round's Accumulate does not regrow from empty.
   CellStore Drain() {
     SortTouched();
     const size_t dim = static_cast<size_t>(update_dim_);
@@ -88,7 +91,9 @@ class DistArrayBuffer {
       std::fill(slot, slot + dim, 0.0f);
       touched_[k >> 6] = 0;  // every bit set in the word is a key being drained
     }
-    return CellStore::Hashed(update_dim_, std::exchange(order_, {}), std::move(values));
+    std::vector<i64> keys = std::exchange(order_, {});
+    order_.reserve(keys.size());
+    return CellStore::Unindexed(update_dim_, std::move(keys), std::move(values));
   }
 
   // Applies a drained update store onto authoritative cells. Templated so

@@ -9,21 +9,30 @@
 //     Sec. 4.4): reads of server-hosted arrays record their subscript and
 //     return a zero span; writes are discarded.
 //
-// Read and Mutate are inline and non-virtual. Each first consults a
-// per-context table of direct views, indexed by array id: a view maps a
-// subscript straight to a cell of one dense store (base pointer, key range,
-// value_dim, strides), so a kernel's hot accesses cost an encode, one range
-// compare and an offset. An executor installs views at the start of each
-// block for the dense stores the block touches: its owned range partition
-// and resident rotated partitions (read and write), and the dense prefetch
-// caches of server-hosted arrays (read only; a Mutate of such an array drops
-// its view, so later reads see the dirty copy). Everything else takes the
-// virtual ReadIndirect/MutateIndirect path: hashed stores and replicas, the
-// iteration space, keys outside a view's range (which die or read zeros
-// there, as the store's own lookup decides), and every access of the
-// recording pass and of the driver's serial oracle. Those two install no
+// Read, Mutate and BufferUpdate are inline and non-virtual. Read and Mutate
+// first consult a per-context table of direct views, indexed by array id: a
+// view maps a subscript straight to a cell of one dense store (base pointer,
+// key range, value_dim, strides), so a kernel's hot accesses cost an encode,
+// one range compare and an offset. An executor installs views at the start
+// of each block for the dense stores the block touches: its owned range
+// partition and resident rotated partitions (read and write), and the dense
+// prefetch caches of server-hosted arrays (read only; a Mutate of such an
+// array drops its view, so later reads see the dirty copy). Everything else
+// takes the virtual ReadIndirect/MutateIndirect path: hashed stores and
+// replicas, the iteration space, keys outside a view's range (which die or
+// read zeros there, as the store's own lookup decides), and every access of
+// the recording pass and of the driver's serial oracle. Those two install no
 // views: the recording pass's writes must land in scratch, and the oracle
 // stays an independent reference for the executor's fast path.
+//
+// BufferUpdate likewise consults a table of buffer views: an array's
+// DistArrayBuffer and its key space's strides, so a buffered write costs an
+// encode and an inline DistArrayBuffer::Accumulate (whose bounds CHECK
+// stays). An executor installs a buffer view on a block's first buffered
+// write to an array, unless the array is replicated: a replicated write must
+// also apply to the local replica at once, so it keeps the virtual
+// BufferUpdateIndirect path, as do the recording pass (whose writes are
+// inert) and the serial oracle.
 #ifndef ORION_SRC_IR_LOOP_CONTEXT_H_
 #define ORION_SRC_IR_LOOP_CONTEXT_H_
 
@@ -33,6 +42,7 @@
 
 #include "src/common/types.h"
 #include "src/dsm/cell_store.h"
+#include "src/dsm/dist_array_buffer.h"
 #include "src/dsm/key_space.h"
 
 namespace orion {
@@ -60,7 +70,16 @@ class LoopContext {
 
   // Routes an update through the DistArray Buffer registered for `array`
   // (dependence-exempt write; applied later with the buffer's apply UDF).
-  virtual void BufferUpdate(DistArrayId array, IdxSpan idx, const f32* update) = 0;
+  void BufferUpdate(DistArrayId array, IdxSpan idx, const f32* update) {
+    if (static_cast<size_t>(array) < buffer_views_.size()) {
+      const BufferView& b = buffer_views_[static_cast<size_t>(array)];
+      if (b.buf != nullptr) {
+        b.buf->Accumulate(EncodeKey(b.strides, b.num_dims, idx), update);
+        return;
+      }
+    }
+    BufferUpdateIndirect(array, idx, update);
+  }
 
   // Adds to the worker-local instance of accumulator `slot`.
   virtual void AccumulatorAdd(int slot, f64 delta) = 0;
@@ -74,6 +93,8 @@ class LoopContext {
   // outside a view's range, and Mutate of a read-only view.
   virtual const f32* ReadIndirect(DistArrayId array, IdxSpan idx) = 0;
   virtual f32* MutateIndirect(DistArrayId array, IdxSpan idx) = 0;
+  // Every buffered write that no buffer view serves.
+  virtual void BufferUpdateIndirect(DistArrayId array, IdxSpan idx, const f32* update) = 0;
 
   // Serves `array`'s accesses from the dense `store` directly, read only
   // unless `writable`, until DropView. `store` and `ks` (the array's key
@@ -99,6 +120,17 @@ class LoopContext {
     }
   }
 
+  // Serves `array`'s buffered writes by accumulating into `buf` directly.
+  // `buf` and `ks` (the array's key space) must outlive the context.
+  void InstallBufferView(DistArrayId array, DistArrayBuffer* buf, const KeySpace& ks) {
+    ORION_CHECK(array >= 0);
+    if (static_cast<size_t>(array) >= buffer_views_.size()) {
+      buffer_views_.resize(static_cast<size_t>(array) + 1);
+    }
+    buffer_views_[static_cast<size_t>(array)] =
+        BufferView{.buf = buf, .strides = ks.strides().data(), .num_dims = ks.strides().size()};
+  }
+
  private:
   // The cell `idx` names through `array`'s view, or nullptr when no view
   // serves it (no view, a read-only view asked to write, or a key outside
@@ -112,15 +144,21 @@ class LoopContext {
     if (v.base == nullptr || (write && !v.writable)) {
       return nullptr;
     }
-    i64 key = 0;
-    for (size_t d = 0; d < v.num_dims; ++d) {
-      key += idx[d] * v.strides[d];
-    }
+    const i64 key = EncodeKey(v.strides, v.num_dims, idx);
     // One unsigned compare tests lo <= key < lo + num_cells.
     if (static_cast<u64>(key - v.lo) >= v.num_cells) {
       return nullptr;
     }
     return v.base + (key - v.lo) * v.value_dim;
+  }
+
+  // Row-major key of `idx` (KeySpace::EncodeUnchecked).
+  static i64 EncodeKey(const i64* strides, size_t num_dims, IdxSpan idx) {
+    i64 key = 0;
+    for (size_t d = 0; d < num_dims; ++d) {
+      key += idx[d] * strides[d];
+    }
+    return key;
   }
 
   // A dense store's cells [lo, lo + num_cells) at base + (key - lo) *
@@ -135,7 +173,15 @@ class LoopContext {
     bool writable = false;
   };
 
+  // An array's buffer and key-space strides.
+  struct BufferView {
+    DistArrayBuffer* buf = nullptr;  // nullptr: no view
+    const i64* strides = nullptr;
+    size_t num_dims = 0;
+  };
+
   std::vector<DirectView> views_;
+  std::vector<BufferView> buffer_views_;
 };
 
 // The compiled loop body. `idx` is the iteration index vector (the element's

@@ -894,8 +894,8 @@ namespace {
 
 // Serial fallback context: reads and writes the driver's master copies
 // directly; buffered updates apply immediately through the registered UDF.
-// It installs no direct views: as the oracle parallel runs are checked
-// against, every access takes the plain store lookup.
+// It installs no direct or buffer views: as the oracle parallel runs are
+// checked against, every access takes the plain store lookup.
 class SerialLoopContext : public LoopContext {
  public:
   SerialLoopContext(Driver* driver, const SharedDirectory* dir,
@@ -918,7 +918,7 @@ class SerialLoopContext : public LoopContext {
     return store->GetOrCreate(driver_->Meta(array).key_space.EncodeUnchecked(idx));
   }
 
-  void BufferUpdate(DistArrayId array, IdxSpan idx, const f32* update) override {
+  void BufferUpdateIndirect(DistArrayId array, IdxSpan idx, const f32* update) override {
     auto def = dir_->GetBufferDef(array);
     ORION_CHECK(def != nullptr) << "BufferUpdate without a registered buffer";
     CellStore* store = StoreFor(array);

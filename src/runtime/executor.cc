@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -110,7 +111,9 @@ class WorkerLoopContext : public LoopContext {
     return nullptr;
   }
 
-  void BufferUpdate(DistArrayId array, IdxSpan idx, const f32* update) override {
+  // A block's first buffered write to an array. Every later one goes
+  // through the buffer view installed here, unless the array is replicated.
+  void BufferUpdateIndirect(DistArrayId array, IdxSpan idx, const f32* update) override {
     Resolved& r = Resolve(array);
     const i64 key = r.st->meta.key_space.EncodeUnchecked(idx);
     if (r.buf == nullptr) {
@@ -121,6 +124,8 @@ class WorkerLoopContext : public LoopContext {
       // Apply to the local replica immediately so this worker sees its own
       // updates (the flush to the master happens at step end).
       r.buf->apply_fn()(r.st->replica.GetOrCreate(key), update, r.st->meta.value_dim);
+    } else {
+      InstallBufferView(array, r.buf, r.st->meta.key_space);
     }
   }
 
@@ -136,7 +141,7 @@ class WorkerLoopContext : public LoopContext {
     PartitionScheme scheme = PartitionScheme::kUnpartitioned;
     Executor::ArrayState* st = nullptr;
     CellStore* store = nullptr;
-    DistArrayBuffer* buf = nullptr;        // BufferUpdate's target buffer
+    DistArrayBuffer* buf = nullptr;        // BufferUpdateIndirect's target buffer
     std::vector<i64>* recorded = nullptr;  // RecordingLoopContext's key list
   };
 
@@ -209,11 +214,70 @@ class WorkerLoopContext : public LoopContext {
 // and accumulators are inert; everything else reads real local data so that
 // data-dependent control flow (and data-dependent subscripts computed from
 // the iteration's own record) replays faithfully.
+//
+// A read of a dense server-hosted array marks its key in the array's
+// KeyBitmap (executor scratch), so the block's key list comes out sorted and
+// unique from one scan. A read of a sparse one, or of a key outside the key
+// space, appends the key to a list that is sorted afterwards.
 class RecordingLoopContext : public WorkerLoopContext {
  public:
   RecordingLoopContext(Executor* ex, const CompiledLoop* cl, int tau,
                        std::map<DistArrayId, std::vector<i64>>* recorded)
-      : WorkerLoopContext(ex, cl, tau), recorded_(recorded) {}
+      : WorkerLoopContext(ex, cl, tau), recorded_(recorded) {
+    for (DistArrayId array : cl->server_arrays) {
+      Executor::ArrayState& st = ex->GetArray(array);
+      const i64 num_cells = st.meta.num_cells();
+      if (num_cells < 0) {
+        continue;  // sparse
+      }
+      if (st.read_marks.num_keys() != num_cells) {
+        st.read_marks = KeyBitmap(num_cells);
+      }
+      if (static_cast<size_t>(array) >= marks_.size()) {
+        marks_.resize(static_cast<size_t>(array) + 1);
+      }
+      marks_[static_cast<size_t>(array)] =
+          Marks{.bits = &st.read_marks, .ks = &st.meta.key_space, .zeros = st.zeros.data()};
+    }
+  }
+
+  // A pass cut short leaves no marks for the next one.
+  ~RecordingLoopContext() override {
+    for (const Marks& m : marks_) {
+      if (m.bits != nullptr) {
+        m.bits->Clear();
+      }
+    }
+  }
+
+  // Leaves every recorded key list sorted and unique.
+  void FinishKeyLists(std::vector<i64>* scratch) {
+    for (auto& [array, keys] : *recorded_) {
+      SortUniqueKeys(&keys, scratch);
+    }
+    for (size_t array = 0; array < marks_.size(); ++array) {
+      KeyBitmap* bits = marks_[array].bits;
+      if (bits == nullptr || bits->empty()) {
+        continue;
+      }
+      std::vector<i64>& keys = (*recorded_)[static_cast<DistArrayId>(array)];
+      const bool strays = !keys.empty();  // keys outside the key space
+      bits->TakeSorted(&keys);
+      if (strays) {
+        SortUniqueKeys(&keys, scratch);
+      }
+    }
+  }
+
+  const f32* ReadIndirect(DistArrayId array, IdxSpan idx) override {
+    if (static_cast<size_t>(array) < marks_.size()) {
+      const Marks& m = marks_[static_cast<size_t>(array)];
+      if (m.bits != nullptr && m.bits->Mark(m.ks->EncodeUnchecked(idx))) {
+        return m.zeros;
+      }
+    }
+    return WorkerLoopContext::ReadIndirect(array, idx);
+  }
 
   f32* MutateIndirect(DistArrayId array, IdxSpan idx) override {
     Resolved& r = Resolve(array);
@@ -223,7 +287,7 @@ class RecordingLoopContext : public WorkerLoopContext {
     return ex_->mutate_scratch_.data();
   }
 
-  void BufferUpdate(DistArrayId array, IdxSpan idx, const f32* update) override {}
+  void BufferUpdateIndirect(DistArrayId array, IdxSpan idx, const f32* update) override {}
   void AccumulatorAdd(int slot, f64 delta) override {}
   bool recording() const override { return true; }
 
@@ -237,7 +301,15 @@ class RecordingLoopContext : public WorkerLoopContext {
   }
 
  private:
+  // A dense server-hosted array's bitmap, key space and zero span.
+  struct Marks {
+    KeyBitmap* bits = nullptr;  // nullptr: not a dense server-hosted array
+    const KeySpace* ks = nullptr;
+    const f32* zeros = nullptr;
+  };
+
   std::map<DistArrayId, std::vector<i64>>* recorded_;
+  std::vector<Marks> marks_;  // by array id
 };
 
 // ---------------------------------------------------------------------------
@@ -707,6 +779,7 @@ std::map<DistArrayId, std::vector<i64>> Executor::CollectPrefetchKeys(const Comp
     ORION_TRACE_SPAN(kExecutor, "record_keys");
     recorded.clear();
     CpuStopwatch record_sw;
+    std::optional<RecordingLoopContext> rctx;  // kernel replay only
     ArrayState& iter = GetArray(cl.spec.iter_space);
     auto it = iter.parts.find(tau);
     if (it != iter.parts.end()) {
@@ -722,8 +795,8 @@ std::map<DistArrayId, std::vector<i64>> Executor::CollectPrefetchKeys(const Comp
                                    cl.prefetch_key_spaces, &recorded);
         };
       } else {
-        body = [&, rctx = std::make_shared<RecordingLoopContext>(this, &cl, tau, &recorded)](
-                   i64 key, f32* value) {
+        rctx.emplace(this, &cl, tau, &recorded);
+        body = [&](i64 key, f32* value) {
           ks.DecodeInto(key, idx);
           cl.kernel(*rctx, idx, value);
         };
@@ -734,9 +807,15 @@ std::map<DistArrayId, std::vector<i64>> Executor::CollectPrefetchKeys(const Comp
         it->second.ForEach(body);
       }
     }
-    for (auto& [array, keys] : recorded) {
-      SortUniqueKeys(&keys, &key_scratch_);
-      if (cl.options.prefetch == PrefetchMode::kCached) {
+    if (rctx.has_value()) {
+      rctx->FinishKeyLists(&key_scratch_);
+    } else {
+      for (auto& [array, keys] : recorded) {
+        SortUniqueKeys(&keys, &key_scratch_);
+      }
+    }
+    if (cl.options.prefetch == PrefetchMode::kCached) {
+      for (const auto& [array, keys] : recorded) {
         prefetch_key_cache_[{cl.loop_id, step, array}] = keys;
       }
     }

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "src/common/timer.h"
+#include "src/dsm/bucket.h"
 #include "src/dsm/dist_array_buffer.h"
 #include "src/net/async_sender.h"
 #include "src/net/fabric.h"
@@ -78,6 +79,9 @@ class Executor {
     CellStore prefetch_cache;
     CellStore server_dirty;            // kServer unbuffered writes (overwrite)
     std::vector<f32> zeros;            // absent-cell read span
+    // kServer dense arrays: the keys the recording pass read, marked during
+    // the pass and cleared as its key list is taken. Kept across rounds.
+    KeyBitmap read_marks;
 
     explicit ArrayState(const DistArrayMeta& m)
         : meta(m),
@@ -107,7 +111,8 @@ class Executor {
   // when replies already arrived.
   //
   // CollectPrefetchKeys returns, per server-hosted array, the keys the block
-  // reads, sorted ascending and unique (SortUniqueKeys, linear time). The
+  // reads, sorted ascending and unique (a KeyBitmap scan for a dense array's
+  // keys under kernel replay, SortUniqueKeys otherwise; linear time). The
   // order is load-bearing: a speculative slot's lists go to
   // ArrayDirtyRanges::ConflictKeys, whose merge walk needs them strictly
   // increasing; the kCached key cache stores and replays them as they are,

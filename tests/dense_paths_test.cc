@@ -9,10 +9,17 @@
 // outside an owned partition still die, keys outside a fetched range still
 // read zeros, an undeclared Mutate of a viewed server-hosted array is seen
 // by the Reads after it, and the recording pass writes through no view.
+//
+// Buffered writes go through buffer views, except to replicated arrays: a
+// key outside the key space still dies, and a replicated write still lands
+// in the local replica at once. The recording pass collects a dense
+// server-hosted array's keys in a bitmap, and a kernel-replay loop over a
+// dense and a sparse one must fetch exactly what the kCached run fetches.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/runtime/driver.h"
@@ -110,6 +117,94 @@ TEST(DensePathsDeathTest, ReadOutsideRotatedPartDies) {
 
 TEST(DensePathsDeathTest, MutateOutsideRotatedPartDies) {
   EXPECT_DEATH(RunWithStrayAccess(/*rotated=*/true, /*mutate=*/true), "outside dense range");
+}
+
+// A 1D loop on 2 workers over 40 items buffers +1 into the server-hosted
+// `w` at each item's key. The first item also buffers into key 100, one past
+// the key space, after its in-range write installed the block's buffer view:
+// the view's write must die as the indirect path's does.
+TEST(DensePathsDeathTest, BufferUpdateOutsideKeySpaceThroughViewDies) {
+  EXPECT_DEATH(
+      {
+        constexpr i64 kItems = 40;
+        constexpr i64 kCells = 100;
+        DriverConfig cfg;
+        cfg.num_workers = 2;
+        Driver driver(cfg);
+        const DistArrayId items = driver.CreateDistArray("items", {kItems}, 1, Density::kSparse);
+        const DistArrayId w = driver.CreateDistArray("w", {kCells}, 1, Density::kDense);
+        CellStore& cells = driver.MutableCells(items);
+        for (i64 i = 0; i < kItems; ++i) {
+          *cells.GetOrCreate(i) = static_cast<f32>(i);
+        }
+        driver.RegisterBuffer(w, 1, MakeAddApplyFn());
+        LoopSpec spec;
+        spec.iter_space = items;
+        spec.iter_extents = {kItems};
+        spec.AddAccess(w, "w", {Expr::Runtime("id")}, /*is_write=*/true, /*buffered=*/true);
+        ParallelForOptions opts;
+        opts.planner.replicate_threshold_floats = 0;
+        auto loop = driver.Compile(
+            spec,
+            [=](LoopContext& ctx, IdxSpan idx, const f32* value) {
+              const f32 one = 1.0f;
+              const i64 key[1] = {static_cast<i64>(value[0])};
+              ctx.BufferUpdate(w, key, &one);
+              if (idx[0] == 0) {
+                const i64 stray[1] = {kCells};
+                ctx.BufferUpdate(w, stray, &one);
+              }
+            },
+            opts);
+        ORION_CHECK(loop.ok());
+        ORION_CHECK(driver.PlanOf(*loop).placements.at(w).scheme == PartitionScheme::kServer);
+        (void)driver.Execute(*loop);
+      },
+      "outside \\[0,");
+}
+
+// A small `w` read and buffered at runtime subscripts is replicated. Each
+// item reads w[key], buffers +1 into it, and reads it again: the replica
+// takes the update at once, so every item sees exactly its own +1, also
+// after earlier items of its block wrote the same key.
+TEST(DensePaths, ReplicatedBufferUpdateIsSeenByLaterReads) {
+  constexpr i64 kItems = 40;
+  constexpr i64 kCells = 100;
+  DriverConfig cfg;
+  cfg.num_workers = 2;
+  Driver driver(cfg);
+  const DistArrayId items = driver.CreateDistArray("items", {kItems}, 1, Density::kSparse);
+  const DistArrayId w = driver.CreateDistArray("w", {kCells}, 1, Density::kDense);
+  {
+    CellStore& cells = driver.MutableCells(items);
+    for (i64 i = 0; i < kItems; ++i) {
+      *cells.GetOrCreate(i) = static_cast<f32>(40 + i % 20);  // each key twice
+    }
+  }
+  driver.RegisterBuffer(w, 1, MakeAddApplyFn());
+  const int step_sum = driver.CreateAccumulator();
+  LoopSpec spec;
+  spec.iter_space = items;
+  spec.iter_extents = {kItems};
+  spec.AddAccess(w, "w", {Expr::Runtime("id")}, /*is_write=*/false);
+  spec.AddAccess(w, "w", {Expr::Runtime("id")}, /*is_write=*/true, /*buffered=*/true);
+  auto loop = driver.Compile(spec, [=](LoopContext& ctx, IdxSpan, const f32* value) {
+    const i64 key[1] = {static_cast<i64>(value[0])};
+    const f32 before = ctx.Read(w, key)[0];
+    const f32 one = 1.0f;
+    ctx.BufferUpdate(w, key, &one);
+    ctx.AccumulatorAdd(step_sum, ctx.Read(w, key)[0] - before);
+  });
+  ASSERT_TRUE(loop.ok()) << loop.status();
+  ASSERT_EQ(driver.PlanOf(*loop).placements.at(w).scheme, PartitionScheme::kReplicated);
+  for (int pass = 0; pass < 2; ++pass) {
+    driver.ResetAccumulator(step_sum);
+    ASSERT_TRUE(driver.Execute(*loop).ok());
+    EXPECT_EQ(driver.AccumulatorValue(step_sum), static_cast<f64>(kItems)) << "pass " << pass;
+  }
+  const auto cells = CellsOf(&driver, w);
+  EXPECT_EQ(cells.at(40)[0], 4.0f);  // 2 items a pass, 2 passes
+  EXPECT_EQ(cells.at(0)[0], 0.0f);
 }
 
 // The server-hosted `w` of a 1D loop over 40 items: every cell holds 1 on
@@ -322,6 +417,98 @@ TEST(DensePaths, RecordingPassWritesThroughNoView) {
   const auto serial = RunReplayedRotation(RunMode::kSerial);
   EXPECT_EQ(RunReplayedRotation(RunMode::kPipelined), serial);
   EXPECT_EQ(RunReplayedRotation(RunMode::kSynchronous), serial);
+}
+
+// A 1D loop of 2 sync rounds on 2 workers fetches, by kernel replay, from a
+// dense and a sparse server-hosted array of 100 cells. Item i reads key
+// k = 37 i mod 100 (which is 0 at i = 0 and 99 at i = 27) twice from each,
+// and keys 0 and 99 from each, and adds a weighted sum of the eight values,
+// small integers exact in f32, into its own cell of `out`. The recording
+// pass marks the dense array's keys in a bitmap and lists the sparse one's.
+struct ReplayedFetch {
+  std::map<i64, std::vector<f32>> out;
+  u64 bytes_sent = 0;
+};
+
+ReplayedFetch RunReplayedFetch(std::optional<PrefetchMode> prefetch) {
+  constexpr i64 kItems = 40;
+  constexpr i64 kCells = 100;
+  DriverConfig cfg;
+  cfg.num_workers = 2;
+  cfg.seed = 5;
+  Driver driver(cfg);
+  const DistArrayId items = driver.CreateDistArray("items", {kItems}, 1, Density::kSparse);
+  const DistArrayId dense = driver.CreateDistArray("dense", {kCells}, 1, Density::kDense);
+  const DistArrayId sparse = driver.CreateDistArray("sparse", {kCells}, 1, Density::kSparse);
+  const DistArrayId out = driver.CreateDistArray("out", {kItems}, 1, Density::kDense);
+  {
+    CellStore& cells = driver.MutableCells(items);
+    for (i64 i = 0; i < kItems; ++i) {
+      *cells.GetOrCreate(i) = static_cast<f32>(37 * i % kCells);
+    }
+    driver.MapCells(dense, [](i64 key, f32* v) { v[0] = static_cast<f32>(1 + key % 5); });
+    CellStore& held = driver.MutableCells(sparse);
+    for (i64 key = 0; key < kCells; key += 3) {  // 0 and 99 among them
+      *held.GetOrCreate(key) = static_cast<f32>(1 + key % 7);
+    }
+  }
+  LoopSpec spec;
+  spec.iter_space = items;
+  spec.iter_extents = {kItems};
+  spec.AddAccess(dense, "dense", {Expr::Runtime("k")}, /*is_write=*/false);
+  spec.AddAccess(sparse, "sparse", {Expr::Runtime("k")}, /*is_write=*/false);
+  spec.AddAccess(out, "out", {Expr::LoopIndex(0)}, /*is_write=*/true);
+  LoopKernel kernel = [=](LoopContext& ctx, IdxSpan idx, const f32* value) {
+    const i64 k[1] = {static_cast<i64>(value[0])};
+    const i64 first[1] = {0};
+    const i64 last[1] = {kCells - 1};
+    f32 sum = 0.0f;
+    f32 weight = 1.0f;
+    for (const DistArrayId array : {dense, sparse}) {
+      for (const i64* key : {k, first, k, last}) {
+        sum += weight * ctx.Read(array, IdxSpan(key, 1))[0];
+        weight *= 2.0f;
+      }
+    }
+    const i64 i[1] = {idx[0]};
+    ctx.Mutate(out, i)[0] += sum;
+  };
+  ReplayedFetch r;
+  constexpr int kPasses = 2;
+  if (!prefetch.has_value()) {
+    for (int pass = 0; pass < kPasses; ++pass) {
+      EXPECT_TRUE(driver.ExecuteSerial(spec, kernel).ok());
+    }
+  } else {
+    ParallelForOptions options;
+    options.prefetch = *prefetch;
+    options.server_sync_rounds = 2;
+    options.planner.replicate_threshold_floats = 0;  // host both on the server
+    auto loop = driver.Compile(spec, kernel, options);
+    EXPECT_TRUE(loop.ok()) << loop.status();
+    const auto& plan = driver.PlanOf(*loop);
+    EXPECT_EQ(plan.placements.at(dense).scheme, PartitionScheme::kServer);
+    EXPECT_EQ(plan.placements.at(sparse).scheme, PartitionScheme::kServer);
+    const u64 bytes_before = driver.NetStats().bytes_sent;
+    for (int pass = 0; pass < kPasses; ++pass) {
+      EXPECT_TRUE(driver.Execute(*loop).ok());
+    }
+    r.bytes_sent = driver.NetStats().bytes_sent - bytes_before;
+  }
+  r.out = CellsOf(&driver, out);
+  return r;
+}
+
+TEST(DensePaths, ReplayedFetchOfDenseAndSparseServerArraysMatchesCachedAndSerial) {
+  const ReplayedFetch serial = RunReplayedFetch(std::nullopt);
+  const ReplayedFetch bulk = RunReplayedFetch(PrefetchMode::kBulk);
+  const ReplayedFetch cached = RunReplayedFetch(PrefetchMode::kCached);
+  ASSERT_EQ(serial.out.size(), 40u);
+  EXPECT_NE(serial.out.at(0)[0], 0.0f);
+  EXPECT_EQ(bulk.out, serial.out);
+  EXPECT_EQ(cached.out, serial.out);
+  EXPECT_GT(bulk.bytes_sent, 0u);
+  EXPECT_EQ(bulk.bytes_sent, cached.bytes_sent);
 }
 
 }  // namespace

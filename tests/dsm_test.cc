@@ -503,6 +503,51 @@ TEST(SortUniqueKeys, MatchesSortThenUniqueAcrossTheBitmapThreshold) {
   }
 }
 
+// One bitmap, reused round after round, yields what sort-then-unique leaves
+// for each round's stream: with repeats, with the key space's two ends, with
+// a single key, and with nothing marked. Keys outside [0, num_keys) are
+// refused and leave no mark; Clear drops a round's marks unread.
+TEST(KeyBitmap, TakeSortedMatchesSortThenUniqueAcrossRounds) {
+  constexpr i64 kKeys = 1000;
+  Rng rng(29);
+  KeyBitmap marks(kKeys);
+  EXPECT_EQ(marks.num_keys(), kKeys);
+  for (int round = 0; round < 6; ++round) {
+    std::vector<i64> stream;
+    const size_t n = round == 3 ? 0 : round == 4 ? 1 : 300 * static_cast<size_t>(round + 1);
+    for (size_t i = 0; i < n; ++i) {
+      stream.push_back(round == 2 ? 500 + rng.NextIndex(40) : rng.NextIndex(kKeys));
+    }
+    if (round == 0 || round == 5) {
+      stream.push_back(0);
+      stream.push_back(kKeys - 1);
+      stream.push_back(0);
+    }
+    for (const i64 k : stream) {
+      EXPECT_TRUE(marks.Mark(k));
+    }
+    for (const i64 k : {i64{-1}, kKeys, kI64Min, kI64Max}) {
+      EXPECT_FALSE(marks.Mark(k));
+    }
+    EXPECT_EQ(marks.empty(), stream.empty());
+    std::vector<i64> got = {-7};  // TakeSorted appends
+    marks.TakeSorted(&got);
+    std::vector<i64> want = {-7};
+    const std::vector<i64> unique = SortThenUnique(stream);
+    want.insert(want.end(), unique.begin(), unique.end());
+    EXPECT_EQ(got, want) << "round " << round;
+    EXPECT_TRUE(marks.empty());
+  }
+  marks.Mark(17);
+  marks.Mark(900);
+  marks.Clear();
+  EXPECT_TRUE(marks.empty());
+  std::vector<i64> got;
+  marks.Mark(3);
+  marks.TakeSorted(&got);
+  EXPECT_EQ(got, (std::vector<i64>{3}));
+}
+
 // ---- RangeSplits / histograms ----
 
 TEST(RangeSplits, EqualWidthCoversRange) {
@@ -625,13 +670,29 @@ TEST(Buffer, InPlaceDrainMatchesHashedAccumulate) {
                                  want.Get(ascending[i]), sizeof(f32) * dim))
             << "dim " << dim << ", round " << round;
       }
-      for (const i64 key : want.keys()) {  // the drained store is indexed
-        ASSERT_NE(got.Get(key), nullptr);
-        EXPECT_EQ(0, std::memcmp(got.Get(key), want.Get(key), sizeof(f32) * dim));
-      }
     }
     EXPECT_EQ(buf.Drain().NumCells(), 0);
   }
+}
+
+// A drained store is only walked in order, so it carries no key index: a
+// keyed lookup on it dies instead of reporting the key absent. A store
+// cleared for reuse indexes again.
+TEST(Buffer, DrainedStoreRejectsKeyedLookups) {
+  DistArrayBuffer buf(7, 1, /*num_cells=*/16, MakeAddApplyFn());
+  const f32 u = 1.0f;
+  buf.Accumulate(3, &u);
+  buf.Accumulate(9, &u);
+  CellStore drained = buf.Drain();
+  EXPECT_EQ(drained.keys(), (std::vector<i64>{3, 9}));
+  EXPECT_DEATH(drained.Get(3), "unindexed");
+  EXPECT_DEATH(drained.Find(4), "unindexed");
+  EXPECT_DEATH(drained.Contains(9), "unindexed");
+  EXPECT_DEATH(drained.GetOrCreate(5), "unindexed");
+  drained.Clear();
+  drained.GetOrCreate(5)[0] = 2.0f;
+  EXPECT_EQ(drained.Get(5)[0], 2.0f);
+  EXPECT_EQ(drained.Get(3), nullptr);
 }
 
 TEST(Buffer, KeyOutsideCellRangeDies) {
