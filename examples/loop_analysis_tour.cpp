@@ -96,7 +96,7 @@ int main() {
   {
     // Prefetch synthesis (paper Sec. 4.4): write the SLR body as a small
     // program; Orion slices out exactly the statements the weight
-    // subscripts depend on and interprets them to produce the key list.
+    // subscripts depend on and compiles them into the key recorder.
     std::printf("== prefetch synthesis for SLR (sliced access-pattern function) ==\n");
     LoopBody body;
     body.num_index_dims = 1;
@@ -113,17 +113,17 @@ int main() {
     body.stmts.push_back(Stmt::Assign(4, SExpr::Const(0)));
     body.stmts.push_back(Stmt::For(1, SExpr::Var(0), std::move(inner)));
 
-    const auto program = SynthesizePrefetch(body);
+    auto program = SynthesizePrefetch(body);
     std::printf("   prefetchable arrays: %zu, unprefetchable: %zu\n",
                 program.target_arrays().size(), program.unprefetchable().size());
     const f32 sample[8] = {1.0f, 3.0f, 17.0f, 0.5f, 4.0f, 0.25f, 99.0f, 1.0f};
-    std::map<DistArrayId, KeySpace> spaces;
-    spaces.emplace(1, KeySpace({1000}));
-    std::map<DistArrayId, std::vector<i64>> keys;
+    program.BindKeySpace(1, KeySpace({1000}));
+    std::vector<f64> frame(program.frame_size());
+    std::vector<i64> keys;
     const i64 idx[1] = {0};
-    program.Run(idx, sample, 8, spaces, &keys);
+    program.Run(idx, sample, 8, frame, [&](int, i64 key) { keys.push_back(key); });
     std::printf("   sample [n=3, ids 17 4 99] -> recorded keys:");
-    for (i64 k : keys[1]) {
+    for (i64 k : keys) {
       std::printf(" %lld", static_cast<long long>(k));
     }
     std::printf("\n\n");

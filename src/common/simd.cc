@@ -188,11 +188,11 @@ void ForceLevel(Level level) {
 
 void ResetLevel() { ForceLevel(DetectBest()); }
 
-void CopyF32(f32* dst, const f32* src, size_t n) {
+void CopyF32Dispatched(f32* dst, const f32* src, size_t n) {
   g_copy.load(std::memory_order_relaxed)(dst, src, n);
 }
 
-void AddF32(f32* dst, const f32* src, size_t n) {
+void AddF32Dispatched(f32* dst, const f32* src, size_t n) {
   g_add.load(std::memory_order_relaxed)(dst, src, n);
 }
 

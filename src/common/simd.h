@@ -4,7 +4,8 @@
 // page clones — all reduce to two primitives over f32 spans: copy and
 // lane-wise add. These are dispatched once at startup to the widest
 // instruction set the CPU supports (AVX2 > SSE2 > scalar) and can be forced
-// down a level for tests and benchmarks.
+// down a level for tests and benchmarks. Spans shorter than one AVX2 vector
+// skip the dispatch and run inline.
 //
 // Determinism contract: AddF32 performs exactly one IEEE-754 addition per
 // lane — dst[i] += src[i] — regardless of dispatch level. Vectorization is
@@ -45,11 +46,35 @@ void ForceLevel(Level level);
 // Restores dispatch to BestSupportedLevel().
 void ResetLevel();
 
+// Spans shorter than this (one AVX2 vector) are copied and added inline:
+// a one-float value span costs no call through the dispatch pointer.
+inline constexpr size_t kInlineLanes = 8;
+
+// The active level's kernels, whatever the span's length.
+void CopyF32Dispatched(f32* dst, const f32* src, size_t n);
+void AddF32Dispatched(f32* dst, const f32* src, size_t n);
+
 // dst[i] = src[i] for i in [0, n). Spans must not overlap.
-void CopyF32(f32* dst, const f32* src, size_t n);
+inline void CopyF32(f32* dst, const f32* src, size_t n) {
+  if (n < kInlineLanes) {
+    for (size_t i = 0; i < n; ++i) {
+      dst[i] = src[i];
+    }
+    return;
+  }
+  CopyF32Dispatched(dst, src, n);
+}
 
 // dst[i] += src[i] for i in [0, n). One IEEE add per lane at every level.
-void AddF32(f32* dst, const f32* src, size_t n);
+inline void AddF32(f32* dst, const f32* src, size_t n) {
+  if (n < kInlineLanes) {
+    for (size_t i = 0; i < n; ++i) {
+      dst[i] += src[i];
+    }
+    return;
+  }
+  AddF32Dispatched(dst, src, n);
+}
 
 }  // namespace simd
 }  // namespace orion

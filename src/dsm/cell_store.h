@@ -222,7 +222,8 @@ class CellStore {
 
   // Visits the `chunk`-th of `num_chunks` contiguous slices of the cell
   // sequence (hashed layout; used for bounded-delay sync rounds).
-  void ForEachSlice(int chunk, int num_chunks, const std::function<void(i64 key, f32* value)>& fn) {
+  template <typename F>
+  void ForEachSlice(int chunk, int num_chunks, F&& fn) {
     ORION_CHECK(layout_ == Layout::kHashed);
     ORION_CHECK(chunk >= 0 && chunk < num_chunks);
     const size_t n = keys_.size();

@@ -9,10 +9,11 @@
 //   - the access declarations (subscript classification included), and
 //   - the synthesized bulk-prefetch function (paper Sec. 4.4): a backward
 //     slice of the body containing exactly the statements the server-array
-//     subscripts depend on, interpreted per iteration to record key lists
+//     subscripts depend on, compiled once and run per iteration to record
+//     key lists
 //     ("in spirit similar to dead code elimination").
 //
-// Scalars are f64 during interpretation; array cells are f32 spans indexed
+// Scalars are f64 during evaluation; array cells are f32 spans indexed
 // by (subscripts, element offset).
 #ifndef ORION_SRC_IR_STMT_H_
 #define ORION_SRC_IR_STMT_H_

@@ -80,10 +80,10 @@ struct CompiledLoop {
   ParallelForOptions options;
 
   // When the loop was compiled from a statement-level LoopBody, the
-  // synthesized prefetch function (paper Sec. 4.4): executors interpret it
-  // instead of replaying the kernel in recording mode.
+  // synthesized prefetch function (paper Sec. 4.4), compiled and bound to
+  // its targets' key spaces: executors run it instead of replaying the
+  // kernel in recording mode (see RecordsWithSlice).
   std::shared_ptr<const PrefetchProgram> prefetch_program;
-  std::map<DistArrayId, KeySpace> prefetch_key_spaces;
 
   ParallelizationPlan plan;
   // The plan's kServer arrays in ascending id order; set with `plan`.
@@ -112,6 +112,21 @@ struct CompiledLoop {
   }
   bool UsesRotation() const { return Is2D() && !UsesWavefront() && !UsesLockstep(); }
   bool NeedsStepBarrier() const { return UsesWavefront() || UsesLockstep(); }
+
+  // True when the compiled prefetch slice, not kernel replay, records the
+  // block's server-hosted reads: the loop has a body with prefetchable
+  // reads, and reads no server-hosted array through a subscript the slice
+  // had to drop (one computed from DistArray values), whose keys only
+  // replay can find.
+  bool RecordsWithSlice() const {
+    if (prefetch_program == nullptr || !prefetch_program->HasTargets()) {
+      return false;
+    }
+    const std::vector<DistArrayId>& dropped = prefetch_program->unprefetchable();
+    return std::none_of(server_arrays.begin(), server_arrays.end(), [&](DistArrayId a) {
+      return std::binary_search(dropped.begin(), dropped.end(), a);
+    });
+  }
 
   // Steps of one pass. A 1D loop's steps are its sync rounds.
   int NumSteps() const {

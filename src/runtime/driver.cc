@@ -427,15 +427,14 @@ StatusOr<i32> Driver::CompileBody(DistArrayId iter_space, std::vector<i64> iter_
   }
 
   auto program = std::make_shared<PrefetchProgram>(SynthesizePrefetch(body));
+  for (DistArrayId id : program->target_arrays()) {
+    program->BindKeySpace(id, Host(id).meta.key_space);
+  }
   auto loop = Compile(std::move(spec), std::move(kernel), options);
   ORION_RETURN_IF_ERROR(loop.status());
 
-  // Attach the synthesized prefetch function (key spaces for the arrays it
-  // records) to the compiled loop.
+  // Attach the compiled prefetch function to the compiled loop.
   auto cl = std::const_pointer_cast<CompiledLoop>(loops_[*loop]);
-  for (DistArrayId id : program->target_arrays()) {
-    cl->prefetch_key_spaces.emplace(id, Host(id).meta.key_space);
-  }
   cl->prefetch_program = std::move(program);
   return *loop;
 }

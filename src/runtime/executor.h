@@ -66,6 +66,7 @@ class Executor {
  private:
   friend class WorkerLoopContext;
   friend class RecordingLoopContext;
+  friend class KeyRecorder;
 
   struct ArrayState {
     DistArrayMeta meta;
@@ -112,7 +113,8 @@ class Executor {
   //
   // CollectPrefetchKeys returns, per server-hosted array, the keys the block
   // reads, sorted ascending and unique (a KeyBitmap scan for a dense array's
-  // keys under kernel replay, SortUniqueKeys otherwise; linear time). The
+  // keys, SortUniqueKeys otherwise; linear time), recorded by the loop's
+  // compiled prefetch slice or, for a loop without one, by kernel replay. The
   // order is load-bearing: a speculative slot's lists go to
   // ArrayDirtyRanges::ConflictKeys, whose merge walk needs them strictly
   // increasing; the kCached key cache stores and replays them as they are,
@@ -225,6 +227,10 @@ class Executor {
   std::vector<f32> mutate_scratch_;
   // SortUniqueKeys' second buffer, reused by every key list this worker sorts.
   std::vector<i64> key_scratch_;
+  // The compiled prefetch slice's frame, and each of its targets' KeyBitmap
+  // (nullptr unless a dense server-hosted array), reused across passes.
+  std::vector<f64> slice_frame_;
+  std::vector<KeyBitmap*> target_marks_;
 
   // Cached prefetch key lists: (loop, step, array) -> keys. The block a
   // worker runs at a step is the same every pass (see CanIssueEarly).
