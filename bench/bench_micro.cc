@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "src/analysis/dependence.h"
@@ -400,6 +401,37 @@ void BM_BufferAccumulate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<i64>(stream.size()));
 }
 BENCHMARK(BM_BufferAccumulate);
+
+// A scatter's group-by: 300k distinct one-float cells, in shuffled order,
+// into 16 hashed parts (a 4-worker rotation grid's worker x time parts).
+void BM_BucketCells(benchmark::State& state) {
+  constexpr size_t kCells = 300000;
+  constexpr u32 kParts = 16;
+  Rng rng(11);
+  std::vector<f32> values(kCells);
+  std::vector<CellRef> cells;
+  std::vector<u32> part_of;
+  cells.reserve(kCells);
+  part_of.reserve(kCells);
+  for (size_t i = 0; i < kCells; ++i) {
+    values[i] = static_cast<f32>(i % 5 + 1);
+    cells.push_back({static_cast<i64>(i) * 37, &values[i]});
+  }
+  for (size_t i = kCells; i-- > 1;) {
+    std::swap(cells[i], cells[rng.NextBounded(i + 1)]);
+  }
+  for (size_t i = 0; i < kCells; ++i) {
+    part_of.push_back(static_cast<u32>(rng.NextBounded(kParts)));
+  }
+  for (auto _ : state) {
+    std::vector<std::optional<CellStore>> parts(kParts);
+    BucketCells(cells, part_of, 1, &parts);
+    benchmark::DoNotOptimize(parts.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<i64>(kCells));
+}
+BENCHMARK(BM_BucketCells);
 
 // A prefetch key list: 12k keys drawn over 50k (dense range, duplicates).
 void BM_SortUniqueKeysDenseRange(benchmark::State& state) {

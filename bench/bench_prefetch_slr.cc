@@ -15,7 +15,6 @@
 // side, their timed passes alternating (which one goes first alternates
 // too), and the check reads the per-pair ratio bulk / cached: its median,
 // its IQR, and how many pairs cached won.
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -28,19 +27,6 @@ namespace {
 
 constexpr int kWorkers = 4;
 constexpr int kTimedPasses = 15;
-
-// Median and quartiles of a sample.
-struct Spread {
-  double median = 0.0;
-  double q1 = 0.0;
-  double q3 = 0.0;
-};
-
-Spread SpreadOf(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const size_t n = v.size();
-  return {(v[(n - 1) / 2] + v[n / 2]) / 2.0, v[n / 4], v[(3 * n) / 4]};
-}
 
 // One SLR training loop in its own driver. The constructor runs one untimed
 // pass (cached mode records its key lists there); Pass runs a timed one and

@@ -11,6 +11,7 @@
 #ifndef ORION_BENCH_BENCH_UTIL_H_
 #define ORION_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <string>
@@ -178,6 +179,20 @@ inline void PrintHeader(const std::string& experiment, const std::string& descri
 
 inline void PrintShape(const std::string& expected, bool holds) {
   std::printf("PAPER-SHAPE [%s]: %s\n", holds ? "OK" : "MISS", expected.c_str());
+}
+
+// Median and quartiles of a sample, e.g. of per-pair ratios between two
+// configurations whose timed passes alternate in one process.
+struct Spread {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+};
+
+inline Spread SpreadOf(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return {(v[(n - 1) / 2] + v[n / 2]) / 2.0, v[n / 4], v[(3 * n) / 4]};
 }
 
 }  // namespace orion

@@ -57,6 +57,7 @@ Status GbtApp::Init(const std::vector<RegressionSample>& samples) {
                                           4 * max_active_nodes_, Density::kDense);
   {
     CellStore& fcells = driver_->MutableCells(features_);
+    fcells.Reserve(num_features_);
     for (int f = 0; f < num_features_; ++f) {
       *fcells.GetOrCreate(f) = static_cast<f32>(f);
     }

@@ -48,6 +48,7 @@ Status LdaApp::Init(const std::vector<TokenEntry>& tokens, i64 num_docs, i64 voc
     CellStore& dt = driver_->MutableCells(doc_topic_);
     CellStore& wt = driver_->MutableCells(word_topic_);
     CellStore& ts = driver_->MutableCells(topic_sum_);
+    cells.Reserve(static_cast<i64>(tokens.size()));
     Rng rng(4242);
     for (const auto& t : tokens) {
       const i64 key = t.doc * vocab + t.word;

@@ -62,6 +62,7 @@ Status SgdMfApp::Init(const std::vector<RatingEntry>& entries, i64 rows, i64 col
 
   {
     CellStore& cells = driver_->MutableCells(ratings_);
+    cells.Reserve(static_cast<i64>(entries.size()));
     for (const auto& e : entries) {
       *cells.GetOrCreate(e.row * cols + e.col) = e.value;
     }

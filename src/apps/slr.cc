@@ -51,6 +51,7 @@ Status SlrApp::Init(const std::vector<SparseSample>& samples, i64 num_features) 
 
   {
     CellStore& cells = driver_->MutableCells(samples_);
+    cells.Reserve(num_samples_);
     for (i64 s = 0; s < num_samples_; ++s) {
       const auto& sample = samples[static_cast<size_t>(s)];
       f32* cell = cells.GetOrCreate(s);

@@ -38,30 +38,56 @@ struct CellRef {
 };
 
 // Copies cells[i] into (*parts)[part_of[i]] for every i, in input order.
-// A part that already holds a store (a dense block, or a part that must
-// exist even when empty) is filled in place; any other part is created as a
-// hashed store sized to its cell count, and only if a cell lands in it.
+// A dense part (a pre-created block) is written in place. Every other part
+// is hashed and must hold no cells yet: one that is absent is created only if
+// a cell lands in it, one pre-created empty (a part that must exist even when
+// empty) stays so if none does. A hashed part's keys and values are appended
+// to two arrays reserved for its cell count, and the part is indexed once at
+// the end (CellStore::Hashed, which CHECK-fails on a repeated key): no hashed
+// insert per cell.
 inline void BucketCells(const std::vector<CellRef>& cells, const std::vector<u32>& part_of,
                         i32 value_dim, std::vector<std::optional<CellStore>>* parts) {
   ORION_CHECK(part_of.size() == cells.size());
+  const size_t dim = static_cast<size_t>(value_dim);
   std::vector<i64> count(parts->size(), 0);
   for (const u32 p : part_of) {
     ORION_CHECK(p < count.size()) << "part" << p << "out of" << count.size();
     ++count[p];
   }
+  // Where part p's cells go: its dense store, or its key and value arrays.
+  struct Fill {
+    CellStore* dense = nullptr;
+    std::vector<i64> keys;
+    std::vector<f32> values;
+  };
+  std::vector<Fill> fill(parts->size());
   for (size_t p = 0; p < parts->size(); ++p) {
     std::optional<CellStore>& part = (*parts)[p];
-    if (!part.has_value() && count[p] > 0) {
-      part.emplace(value_dim, CellStore::Layout::kHashed, 0);
-    }
     if (part.has_value()) {
       ORION_CHECK(part->value_dim() == value_dim);
-      part->Reserve(count[p]);
+      if (part->IsDense()) {
+        fill[p].dense = &*part;
+        continue;
+      }
+      ORION_CHECK(part->NumCells() == 0) << "hashed part" << p << "already holds cells";
     }
+    fill[p].keys.reserve(static_cast<size_t>(count[p]));
+    fill[p].values.reserve(static_cast<size_t>(count[p]) * dim);
   }
   for (size_t i = 0; i < cells.size(); ++i) {
-    simd::CopyF32((*parts)[part_of[i]]->GetOrCreate(cells[i].key), cells[i].value,
-                  static_cast<size_t>(value_dim));
+    Fill& f = fill[part_of[i]];
+    if (f.dense != nullptr) {
+      simd::CopyF32(f.dense->GetOrCreate(cells[i].key), cells[i].value, dim);
+    } else {
+      f.keys.push_back(cells[i].key);
+      f.values.insert(f.values.end(), cells[i].value, cells[i].value + dim);
+    }
+  }
+  for (size_t p = 0; p < parts->size(); ++p) {
+    if (fill[p].dense == nullptr && (count[p] > 0 || (*parts)[p].has_value())) {
+      (*parts)[p] = CellStore::Hashed(value_dim, std::move(fill[p].keys),
+                                      std::move(fill[p].values));
+    }
   }
 }
 

@@ -45,10 +45,22 @@ class RangeSplits {
 
   int num_parts() const { return num_parts_; }
 
+  // The first part whose upper bound is >= coord: the number of upper bounds
+  // below coord. A branch-free binary search: every call takes the same
+  // ceil(log2(num_parts - 1)) halvings, each a conditional move, so a scatter
+  // that asks for cells in random coordinate order mispredicts no branch.
   int PartOf(i64 coord) const {
-    // First part whose upper bound >= coord.
-    auto it = std::lower_bound(uppers_.begin(), uppers_.end(), coord);
-    return static_cast<int>(it - uppers_.begin());
+    const i64* base = uppers_.data();
+    size_t n = uppers_.size();
+    if (n == 0) {
+      return 0;
+    }
+    while (n > 1) {
+      const size_t half = n / 2;
+      base = base[half - 1] < coord ? base + half : base;
+      n -= half;
+    }
+    return static_cast<int>(base - uppers_.data()) + (*base < coord ? 1 : 0);
   }
 
   const std::vector<i64>& uppers() const { return uppers_; }

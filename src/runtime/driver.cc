@@ -280,19 +280,30 @@ StatusOr<i32> Driver::Compile(LoopSpec spec, LoopKernel kernel, ParallelForOptio
 
 Status Driver::BuildLoop(CompiledLoop* cl) {
   const int active = ActiveWorkers();
-  // Everything the planner and the histogram pass need must be
-  // driver-resident.
-  GatherToDriver(cl->spec.iter_space);
+  // The planner and the histogram pass read cell counts and the iteration
+  // space's keys, never a value, so only what the master may lack is
+  // gathered: data stays where it is, and EnsureScattered keeps it there
+  // when the grid matches. Workers never create or drop a cell of an
+  // iteration space (MutateIndirect refuses it), so its master's key set is
+  // current; it is gathered only while placed as something else. A dense
+  // array always holds every cell of its key space.
+  if (Host(cl->spec.iter_space).placement.scheme != PartitionScheme::kIterSpace) {
+    GatherToDriver(cl->spec.iter_space);
+  }
   std::map<DistArrayId, ArrayStats> stats;
   for (const auto& a : cl->spec.accesses) {
     if (a.array == cl->spec.iter_space || stats.count(a.array) > 0) {
       continue;
     }
-    GatherToDriver(a.array);
-    const ArrayHost& h = Host(a.array);
+    const DistArrayMeta& meta = Host(a.array).meta;
     ArrayStats s;
-    s.cells = h.master.NumCells();
-    s.value_dim = h.meta.value_dim;
+    if (meta.density == Density::kDense) {
+      s.cells = meta.key_space.total();
+    } else {
+      GatherToDriver(a.array);  // workers may have created cells
+      s.cells = Host(a.array).master.NumCells();
+    }
+    s.value_dim = meta.value_dim;
     stats[a.array] = s;
   }
 

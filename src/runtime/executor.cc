@@ -104,6 +104,12 @@ class WorkerLoopContext : public LoopContext {
         }
         return dirty;
       }
+      case PartitionScheme::kIterSpace:
+        // The driver compiles later loops from the master's key set without
+        // gathering it, which holds only while workers add no cell.
+        ORION_CHECK(false) << "Mutate on the iteration space" << array
+                           << "; a kernel reads its own cell through `value`";
+        break;
       default:
         ORION_CHECK(false) << "Mutate on array" << array
                            << "which is not locally owned; use BufferUpdate";

@@ -388,6 +388,109 @@ TEST(BucketCells, EachPartIsTheStableFilterOfTheInput) {
   EXPECT_EQ(parts[2]->Get(11)[0], 1.0f);
 }
 
+// What BucketCells did before it appended: a hashed insert per cell into
+// each part, created and presized on its first cell. The appending path must
+// leave every part exactly as this one does.
+void BucketCellsByInsert(const std::vector<CellRef>& cells, const std::vector<u32>& part_of,
+                         i32 value_dim, std::vector<std::optional<CellStore>>* parts) {
+  std::vector<i64> count(parts->size(), 0);
+  for (const u32 p : part_of) {
+    ++count[p];
+  }
+  for (size_t p = 0; p < parts->size(); ++p) {
+    if (!(*parts)[p].has_value() && count[p] > 0) {
+      (*parts)[p].emplace(value_dim, CellStore::Layout::kHashed, 0);
+    }
+    if ((*parts)[p].has_value()) {
+      (*parts)[p]->Reserve(count[p]);
+    }
+  }
+  for (size_t i = 0; i < cells.size(); ++i) {
+    std::copy_n(cells[i].value, value_dim, (*parts)[part_of[i]]->GetOrCreate(cells[i].key));
+  }
+}
+
+// Dense parts pre-created over disjoint key ranges, empty pre-created hashed
+// parts, and absent parts, over value widths 1 and 3: the same stores (layout,
+// keys in the same order, value bits) as the per-cell insert path.
+TEST(BucketCells, MatchesThePerCellInsertPath) {
+  Rng rng(41);
+  for (int trial = 0; trial < 60; ++trial) {
+    const i32 dim = trial % 2 == 0 ? 1 : 3;
+    const size_t num_parts = 1 + rng.NextBounded(8);
+    // Part p of a dense trial owns keys [p * 100, p * 100 + 99].
+    std::vector<int> kind(num_parts);  // 0 absent, 1 empty hashed, 2 dense
+    std::vector<std::optional<CellStore>> parts(num_parts);
+    for (size_t p = 0; p < num_parts; ++p) {
+      kind[p] = static_cast<int>(rng.NextBounded(3));
+      if (kind[p] == 1) {
+        parts[p].emplace(dim, CellStore::Layout::kHashed, 0);
+      } else if (kind[p] == 2) {
+        const i64 lo = static_cast<i64>(p) * 100;
+        parts[p] = CellStore::DenseRange(dim, lo, lo + 99);
+      }
+    }
+    std::vector<CellRef> cells;
+    std::vector<u32> part_of;
+    std::vector<f32> values(100 * num_parts * static_cast<size_t>(dim));
+    for (size_t i = 0; i < values.size(); ++i) {
+      values[i] = static_cast<f32>(rng.NextGaussian());
+    }
+    // Each part's keys in a shuffled order; some keys of each part skipped.
+    std::vector<i64> keys;
+    for (i64 k = 0; k < static_cast<i64>(100 * num_parts); ++k) {
+      if (rng.NextBounded(3) != 0) {
+        keys.push_back(k);
+      }
+    }
+    for (size_t i = keys.size(); i-- > 1;) {
+      std::swap(keys[i], keys[rng.NextBounded(i + 1)]);
+    }
+    for (const i64 k : keys) {
+      cells.push_back({k, &values[static_cast<size_t>(k) * static_cast<size_t>(dim)]});
+      part_of.push_back(static_cast<u32>(k / 100));
+    }
+    std::vector<std::optional<CellStore>> want = parts;
+    BucketCellsByInsert(cells, part_of, dim, &want);
+    BucketCells(cells, part_of, dim, &parts);
+    for (size_t p = 0; p < num_parts; ++p) {
+      ASSERT_EQ(parts[p].has_value(), want[p].has_value()) << "part " << p;
+      if (!want[p].has_value()) {
+        continue;
+      }
+      EXPECT_EQ(parts[p]->layout(), want[p]->layout());
+      EXPECT_EQ(parts[p]->NumCells(), want[p]->NumCells());
+      if (!want[p]->IsDense()) {
+        EXPECT_EQ(parts[p]->keys(), want[p]->keys()) << "part " << p;
+      }
+      const std::vector<f32>& got = parts[p]->raw_values();
+      const std::vector<f32>& ref = want[p]->raw_values();
+      ASSERT_EQ(got.size(), ref.size());
+      EXPECT_EQ(std::memcmp(got.data(), ref.data(), got.size() * sizeof(f32)), 0)
+          << "part " << p;
+      want[p]->ForEachConstFast([&](i64 key, const f32* v) {
+        EXPECT_EQ(std::memcmp(parts[p]->Get(key), v, static_cast<size_t>(dim) * sizeof(f32)), 0)
+            << "key " << key;
+      });
+    }
+  }
+}
+
+TEST(BucketCellsDeathTest, RepeatedKeyInAHashedPartDies) {
+  const std::vector<f32> v = {1.0f, 2.0f, 3.0f};
+  std::vector<std::optional<CellStore>> parts(2);
+  EXPECT_DEATH(BucketCells({{4, &v[0]}, {9, &v[1]}, {4, &v[2]}}, {1, 1, 1}, 1, &parts),
+               "repeats key 4");
+}
+
+TEST(BucketCellsDeathTest, HashedPartThatHoldsCellsDies) {
+  const std::vector<f32> v = {1.0f};
+  std::vector<std::optional<CellStore>> parts(1);
+  parts[0].emplace(1, CellStore::Layout::kHashed, 0);
+  *parts[0]->GetOrCreate(7) = 5.0f;
+  EXPECT_DEATH(BucketCells({{8, &v[0]}}, {0}, 1, &parts), "already holds cells");
+}
+
 // ---- Sort-unique of key lists ----
 
 std::vector<i64> SortThenUnique(std::vector<i64> keys) {
@@ -571,6 +674,30 @@ TEST(RangeSplits, PartOfIsMonotone) {
     EXPECT_GE(p, prev);
     EXPECT_LT(p, 7);
     prev = p;
+  }
+}
+
+// PartOf is the index std::lower_bound finds over the upper bounds, for
+// split counts from 1 to 40 (repeated bounds included) and coordinates below,
+// inside and past the covered range.
+TEST(RangeSplits, PartOfMatchesLowerBound) {
+  Rng rng(8);
+  for (int parts = 1; parts <= 40; ++parts) {
+    for (int trial = 0; trial < 5; ++trial) {
+      std::vector<i64> uppers;
+      i64 at = -3;
+      for (int p = 1; p < parts; ++p) {
+        at += static_cast<i64>(rng.NextBounded(4));  // 0 repeats a bound
+        uppers.push_back(at);
+      }
+      const RangeSplits s(parts, uppers);
+      for (i64 c = -6; c <= at + 6; ++c) {
+        const auto want = std::lower_bound(uppers.begin(), uppers.end(), c) - uppers.begin();
+        ASSERT_EQ(s.PartOf(c), want) << parts << " parts, coord " << c;
+      }
+      EXPECT_EQ(s.PartOf(std::numeric_limits<i64>::min()), 0);
+      EXPECT_EQ(s.PartOf(std::numeric_limits<i64>::max()), parts - 1);
+    }
   }
 }
 
